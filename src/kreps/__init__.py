@@ -18,6 +18,7 @@ from .braids import (
     full_twist,
     parse_braid,
     prime_twist_family,
+    random_knot_braid,
 )
 from .colorings import (
     Coloring,
@@ -45,7 +46,6 @@ from .intlinalg import (
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
-    eval_at,
     exact_div,
     laurent_det,
     laurent_minor_gcd,
@@ -76,6 +76,7 @@ from .presentations import (
     coloring_matrix,
     elementary_ideal_data,
     fox_derivative_abelianized,
+    fox_matrix,
     torus_covering_presentation,
 )
 

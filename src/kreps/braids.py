@@ -21,6 +21,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -236,6 +237,17 @@ def closure_permutation(a: BraidWord) -> Permutation:
 def closure_component_count(a: BraidWord) -> int:
     """Number of components of the braid closure; 1 means a knot."""
     return len(closure_permutation(a).cycles())
+
+
+def random_knot_braid(rng: random.Random, max_strands: int, max_len: int) -> BraidWord:
+    """A random word on 2..max_strands strands, 1..max_len letters, with knot closure."""
+    while True:
+        n = rng.randint(2, max_strands)
+        length = rng.randint(1, max_len)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+        a = BraidWord(n, letters)
+        if closure_component_count(a) == 1:
+            return a
 
 
 def _letter_image(braid_letter: int, free_letter: int) -> tuple[int, ...]:

@@ -28,6 +28,7 @@ from .braids import (
     full_twist,
     parse_braid,
     prime_twist_family,
+    random_knot_braid,
 )
 from .colorings import (
     coloring_census,
@@ -54,6 +55,7 @@ from .presentations import (
     closure_presentation,
     coloring_matrix,
     elementary_ideal_data,
+    fox_matrix,
     torus_covering_presentation,
 )
 
@@ -103,8 +105,7 @@ def _odd_prime_factors(n: int) -> list[int]:
 def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the braid is not a knot", EXIT_NOT_A_KNOT)
-    pres = closure_presentation(a)
-    matrix = alexander_matrix(pres)
+    matrix = alexander_matrix(a)
     poly, det = elementary_ideal_data(matrix)
     oracle = burau_alexander(a)
     fox_normal = poly_str(poly)
@@ -112,7 +113,7 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
         "burau_matches_fox": fox_normal == poly_str(oracle),
         "determinant_matches_poly": det == abs(poly.evaluate(-1)),
     }
-    classes = enumerate_rep_classes(pres)
+    classes = enumerate_rep_classes(matrix)
     rep_count = count_irreducible_metabelian(det)
     checks["class_count_matches_determinant"] = rep_count == len(classes)
     report: dict[str, Any] = {
@@ -125,7 +126,7 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
         "checks": checks,
     }
     if rmax is not None:
-        profile = colorability_profile(a, BraidWord.identity(a.strands), rmax)
+        profile = colorability_profile(matrix, rmax)
         report["colorings"] = _profile_payload(profile)
     return report
 
@@ -135,10 +136,9 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
         raise PipelineError("basis braids do not commute", EXIT_NOT_COMMUTING)
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the first braid is not a knot", EXIT_NOT_A_KNOT)
-    pres = torus_covering_presentation(a, b)
-    matrix = alexander_matrix(pres)
+    matrix = alexander_matrix(a, b)
     poly, det = elementary_ideal_data(matrix)
-    classes = enumerate_rep_classes(pres)
+    classes = enumerate_rep_classes(matrix)
     rep_count = count_irreducible_metabelian(det)
     checks: dict[str, Any] = {
         "determinant_odd": det % 2 == 1,
@@ -146,8 +146,7 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
     }
 
     # classical data of the first braid's closure, for the counting cross-checks
-    base_pres = closure_presentation(a)
-    _, base_det = elementary_ideal_data(alexander_matrix(base_pres))
+    _, base_det = elementary_ideal_data(alexander_matrix(a))
     checks["base_knot_determinant"] = str(base_det)
     if base_det >= 2 and is_p_colorable(matrix, base_det):
         checks["det_colorable_count_rule"] = rep_count == (base_det - 1) // 2
@@ -184,7 +183,7 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
         "checks": checks,
     }
     if rmax is not None:
-        profile = colorability_profile(a, b, rmax)
+        profile = colorability_profile(matrix, rmax)
         report["colorings"] = _profile_payload(profile)
         # when the profile certifies only-p-colorability, the coloring
         # count determines the class count as (total - p) / (2p)
@@ -244,27 +243,16 @@ def family_report(
 # -- randomized oracle sweep ------------------------------------------------
 
 
-def _random_knot_braid(rng: random.Random, max_strands: int, max_len: int) -> BraidWord:
-    while True:
-        n = rng.randint(2, max_strands)
-        length = rng.randint(1, max_len)
-        letters = tuple(
-            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)
-        )
-        a = BraidWord(n, letters)
-        if closure_component_count(a) == 1:
-            return a
-
-
 def _braid_mismatch(a: BraidWord) -> str | None:
     """All per-braid cross-checks; returns a description of the first
     failure, or None."""
-    pres = closure_presentation(a)
-    matrix = alexander_matrix(pres)
+    matrix = alexander_matrix(a)
+    if matrix != fox_matrix(closure_presentation(a)).without_zero_rows():
+        return "burau-built matrix != fox matrix of the free-word presentation"
     poly, det = elementary_ideal_data(matrix)
     oracle = burau_alexander(a)
     if poly_str(poly) != poly_str(oracle):
-        return f"fox {poly_str(poly)} != burau {poly_str(oracle)}"
+        return f"minor gcd {poly_str(poly)} != reduced burau {poly_str(oracle)}"
     if det != abs(poly.evaluate(-1)):
         return f"determinant {det} != |poly(-1)|"
     diagram = closure_diagram(a)
@@ -358,7 +346,7 @@ def verify_report(
     failure: str | None = None
     braids_checked = 0
     for _ in range(trials):
-        a = _random_knot_braid(rng, max_strands, max_len)
+        a = random_knot_braid(rng, max_strands, max_len)
         mismatch = _braid_mismatch(a)
         if mismatch is not None:
             small = _minimize_braid(a)
@@ -379,10 +367,13 @@ def verify_report(
     pairs_checked = 0
     if failure is None:
         for _ in range(max(trials // 2, 25)):
-            a = _random_knot_braid(rng, max_strands, max_len)
+            a = random_knot_braid(rng, max_strands, max_len)
             b = full_twist(a.strands) ** rng.randint(0, 2)
-            pres = torus_covering_presentation(a, b)
-            _, det = elementary_ideal_data(alexander_matrix(pres))
+            matrix = alexander_matrix(a, b)
+            if matrix != fox_matrix(torus_covering_presentation(a, b)).without_zero_rows():
+                failure = f"burau-built and fox matrices differ for a={a}, twist power"
+                break
+            _, det = elementary_ideal_data(matrix)
             if det % 2 == 0:
                 failure = f"even surface determinant {det} for a={a}, twist power"
                 break
@@ -451,16 +442,14 @@ def _emit(report: dict[str, Any], as_json: bool, stream=None) -> None:
 def _parse_signs(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
+    if not isinstance(text, str):
+        # some argparse versions strip the value of --signs=-- and pass []
+        raise ValueError("--signs lost its value; separate the signs by commas, as --signs=-,-")
     cleaned = text.replace(",", "")
-    signs = []
     for ch in cleaned:
-        if ch == "+":
-            signs.append(1)
-        elif ch == "-":
-            signs.append(-1)
-        else:
+        if ch not in "+-":
             raise ValueError(f"signs must be '+' or '-' characters, got {ch!r}")
-    return tuple(signs)
+    return tuple(1 if ch == "+" else -1 for ch in cleaned)
 
 
 def _parse_perm(text: str | None) -> tuple[int, ...] | None:
@@ -486,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     knot.add_argument("-n", "--strands", type=int, required=True)
     knot.add_argument("--rmax", type=int, default=None, help="coloring profile bound")
     knot.add_argument("--json", action="store_true")
-    knot.add_argument("--table", action="store_true")
 
     surface = sub.add_parser("surface", help="invariants of a commuting-pair surface knot")
     surface.add_argument("braid_a")
@@ -501,16 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     surface.add_argument("--rmax", type=int, default=None)
     surface.add_argument("--json", action="store_true")
-    surface.add_argument("--table", action="store_true")
 
     family = sub.add_parser("family", help="prime-power family with count assertions")
     family.add_argument("n", type=int)
     family.add_argument("p", type=int)
     family.add_argument("m", type=int)
-    family.add_argument("--signs", default=None, help="e.g. '+-+' or '+,-,+'")
+    family.add_argument("--signs", default=None, help="e.g. --signs=+-+ or --signs=+,-,+; "
+                        "a value that starts with '-' must be attached: --signs=-+")
     family.add_argument("--perm", default=None, help="e.g. '2,1'")
     family.add_argument("--json", action="store_true")
-    family.add_argument("--table", action="store_true")
 
     verify = sub.add_parser("verify", help="seeded randomized oracle sweep")
     verify.add_argument("--seed", type=int, default=0)
@@ -518,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-strands", type=int, default=4)
     verify.add_argument("--max-len", type=int, default=8)
     verify.add_argument("--json", action="store_true")
-    verify.add_argument("--table", action="store_true")
 
     return parser
 

@@ -30,12 +30,7 @@ from .intlinalg import (
     _enum_cap,
 )
 from .laurent import LaurentMatrix
-from .presentations import (
-    ClosureDiagram,
-    Crossing,
-    alexander_matrix,
-    torus_covering_presentation,
-)
+from .presentations import ClosureDiagram, Crossing
 
 
 @dataclass(frozen=True)
@@ -104,18 +99,6 @@ def generated_subgroup(colors: Iterable[int], p: int) -> int:
     return gcd(g, p) if g else p
 
 
-def _condition_o_solutions(
-    a: IntMatrix, r: int, base: int, cap: int | None = None
-) -> list[tuple[int, ...]]:
-    """Solutions of A x == 0 (mod r) with x[base] == 0, as full vectors."""
-    reduced = a.column_deleted(base)
-    out = []
-    for sol in enumerate_solutions_mod(reduced, r, cap=cap):
-        full = sol[:base] + (0,) + sol[base:]
-        out.append(full)
-    return out
-
-
 def coloring_census(m: LaurentMatrix, r: int, cap: int | None = None) -> ColoringCensus:
     """Census of the solutions of M(-1) x == 0 modulo r.
 
@@ -129,11 +112,8 @@ def coloring_census(m: LaurentMatrix, r: int, cap: int | None = None) -> Colorin
         raise ValueError("the matrix needs at least one column")
     a = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
     total = solution_count_mod(a, r)
-    base = m.cols - 1
-    if m.cols == 1:
-        cond_solutions: list[tuple[int, ...]] = [(0,)]
-    else:
-        cond_solutions = _condition_o_solutions(a, r, base, cap=cap)
+    reduced = a.column_deleted(m.cols - 1)
+    cond_solutions = [sol + (0,) for sol in enumerate_solutions_mod(reduced, r, cap=cap)]
     nondeg = any(generated_subgroup(sol, r) == 1 for sol in cond_solutions)
     return ColoringCensus(
         modulus=r,
@@ -207,20 +187,16 @@ def surface_coloring_census(
     )
 
 
-def colorability_profile(a: BraidWord, b: BraidWord, r_max: int) -> list[tuple[int, int]]:
-    """Condition-O coloring counts of the surface knot for r = 2..r_max.
+def colorability_profile(m: LaurentMatrix, r_max: int) -> list[tuple[int, int]]:
+    """Condition-O coloring counts of the Alexander matrix m for r = 2..r_max.
 
-    Computed from the presentation matrix, which agrees with the
-    transport census (a separately tested invariant); only-p-colorable
-    objects have profile values in {1, count at p}.
+    The matrix agrees with the transport census (a separately tested
+    invariant); only-p-colorable objects have profile values in
+    {1, count at p}.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    pres = torus_covering_presentation(a, b)
-    m = alexander_matrix(pres)
     a_int = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
-    if m.cols == 1:
-        return [(r, 1) for r in range(2, r_max + 1)]
     reduced = a_int.column_deleted(m.cols - 1)
     return [(r, solution_count_mod(reduced, r)) for r in range(2, r_max + 1)]
 

@@ -116,9 +116,6 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
 
-    def scaled(self, c: int) -> "LaurentPoly":
-        return LaurentPoly({e: c * v for e, v in self._coeffs.items()})
-
     def evaluate(self, v: int) -> int:
         """Value at t = v, only for v in {1, -1} (so 1/t stays integral)."""
         if v == 1:
@@ -145,10 +142,6 @@ class LaurentPoly:
 
     def __str__(self) -> str:
         return poly_str(self)
-
-
-def eval_at(f: LaurentPoly, v: int) -> int:
-    return f.evaluate(v)
 
 
 def poly_str(f: LaurentPoly) -> str:
@@ -357,6 +350,9 @@ class LaurentMatrix:
     def evaluate(self, v: int) -> list[list[int]]:
         """Integer matrix of values at t = v, for v in {1, -1}."""
         return [[p.evaluate(v) for p in row] for row in self.entries]
+
+    def without_zero_rows(self) -> "LaurentMatrix":
+        return LaurentMatrix.from_rows([row for row in self.entries if any(row)], cols=self.cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
         grid = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)

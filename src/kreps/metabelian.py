@@ -16,11 +16,12 @@ bookkeeping alone, so no complex numbers are ever needed:
 In particular R(k)^2 = D(m) = -I, R(k)^-1 = R(k+m), and conjugation acts
 by the dihedral rule R(a) R(b) R(a)^-1 = R(2a - b).
 
-A coloring c modulo m of a presentation (all generators meridians of
-weight t) lifts to the representation sending generator i to R(k_i),
-where k_i is the even representative of c_i modulo 2m.  Every relator
-has zero exponent sum, which forces the residual sign D(0)/D(m) to be
-trivial, so the lifted assignment satisfies all relators exactly.
+A coloring c modulo m of the Alexander matrix, which production builds
+from the braid by the Burau rule, lifts to the representation sending
+meridian i to R(k_i), where k_i is the even representative of c_i modulo
+2m.  Every relator has zero exponent sum, which forces the residual sign
+D(0)/D(m) to be trivial, so the lifted assignment satisfies all relators
+exactly; ``verify_representation`` checks that on free-word relators.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import Sequence
 
 from .braids import is_odd_prime
 from .intlinalg import IntMatrix, determinantal_divisor, enumerate_solutions_mod
-from .presentations import Presentation, alexander_matrix
+from .laurent import LaurentMatrix
+from .presentations import Presentation
 
 
 @dataclass(frozen=True)
@@ -114,13 +116,14 @@ def count_from_colorings(col_p: int, p: int) -> int:
     return (col_p - p) // (2 * p)
 
 
-def _even_lift(c: int, m: int) -> int:
-    c %= m
-    return c if c % 2 == 0 else c + m
+def _lift(coloring: Sequence[int], m: int) -> tuple[BinaryDihedralElt, ...]:
+    """R(k_i) for the even lift k_i of each color modulo 2m."""
+    residues = [c % m for c in coloring]
+    return tuple(BinaryDihedralElt.r(m, c if c % 2 == 0 else c + m) for c in residues)
 
 
 def build_representation(
-    p: Presentation, coloring: Sequence[int], m: int
+    matrix: LaurentMatrix, coloring: Sequence[int], m: int
 ) -> tuple[BinaryDihedralElt, ...]:
     """Assignment generator i -> R(k_i) from a coloring modulo odd m.
 
@@ -130,13 +133,13 @@ def build_representation(
     """
     if m < 3 or m % 2 == 0:
         raise ValueError("the modulus must be an odd integer >= 3")
-    if len(coloring) != p.generators:
+    if len(coloring) != matrix.cols:
         raise ValueError("one color per generator is required")
-    a = IntMatrix.from_rows(alexander_matrix(p).evaluate(-1), cols=p.generators)
+    a = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
     residual = a.apply([c % m for c in coloring])
     if any(v % m for v in residual):
-        raise ValueError("the vector is not a coloring of this presentation")
-    return tuple(BinaryDihedralElt.r(m, _even_lift(c, m)) for c in coloring)
+        raise ValueError("the vector is not a coloring of this matrix")
+    return _lift(coloring, m)
 
 
 def _evaluate_relator(
@@ -187,30 +190,23 @@ class RepClass:
     assignment: tuple[BinaryDihedralElt, ...]
 
 
-def enumerate_rep_classes(p: Presentation, cap: int | None = None) -> list[RepClass]:
+def enumerate_rep_classes(matrix: LaurentMatrix, cap: int | None = None) -> list[RepClass]:
     """All conjugacy classes of irreducible metabelian SU(2) representations.
 
     Colorings modulo the determinant with the last generator pinned to 0
     are enumerated through the Smith normal form; the zero solution is
     reducible and dropped, and c, -c give conjugate representations, so
     representatives keep the lexicographically smaller of the pair.  The
-    result has (det - 1) / 2 classes.
+    result has (det - 1) / 2 classes, lifted without rebuilding the matrix.
     """
-    matrix = alexander_matrix(p)
-    a = IntMatrix.from_rows(matrix.evaluate(-1), cols=p.generators)
-    if p.generators == 1:
-        det = 1
-    else:
-        det = determinantal_divisor(a, p.generators - 1)
+    a = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
+    det = determinantal_divisor(a, matrix.cols - 1)
     if det < 1 or det % 2 == 0:
         raise ValueError("expected a positive odd determinant")
     if det == 1:
         return []
-    base = p.generators - 1
-    reduced = a.column_deleted(base)
-    solutions = []
-    for sol in enumerate_solutions_mod(reduced, det, cap=cap):
-        solutions.append(sol[:base] + (0,) + sol[base:])
+    reduced = a.column_deleted(matrix.cols - 1)
+    solutions = [sol + (0,) for sol in enumerate_solutions_mod(reduced, det, cap=cap)]
     if len(solutions) != det:
         raise RuntimeError(
             f"expected {det} base-pinned colorings, found {len(solutions)}"
@@ -221,8 +217,7 @@ def enumerate_rep_classes(p: Presentation, cap: int | None = None) -> list[RepCl
             continue
         negated = tuple((-v) % det for v in sol)
         chosen.add(min(sol, negated))
-    classes = []
-    for coloring in sorted(chosen):
-        assignment = build_representation(p, coloring, det)
-        classes.append(RepClass(modulus=det, coloring=coloring, assignment=assignment))
-    return classes
+    return [
+        RepClass(modulus=det, coloring=coloring, assignment=_lift(coloring, det))
+        for coloring in sorted(chosen)
+    ]

@@ -1,6 +1,6 @@
-"""Group presentations of braid closures and of the surface knots built
-from commuting braid pairs, their Alexander-type matrices, the crossing
-matrix of the closure diagram, and a reduced-Burau cross-check.
+"""Alexander matrices of braid closures and of the surface knots built
+from commuting braid pairs, the crossing matrix of the closure diagram,
+and a reduced-Burau cross-check.
 
 Matrix conventions:
 
@@ -10,6 +10,10 @@ Matrix conventions:
   generator; entry (i, j) is the abelianized free derivative of relator
   i by generator j.  Row sums vanish identically because every relator
   has weighted exponent sum zero.
+* Production builds it from the braid by one Burau rule per letter
+  (``alexander_matrix``).  Free-word presentations and Fox calculus
+  (``fox_matrix``) are the oracle that the tests and ``kreps verify``
+  check it against.
 * The closure diagram of a braid has one arc per maximal over-segment;
   arcs are numbered 1..m.  At a crossing the over arc j transforms the
   incoming under arc i into the outgoing under arc k, and the crossing
@@ -107,15 +111,8 @@ def torus_covering_presentation(a: BraidWord, b: BraidWord) -> Presentation:
         raise ValueError("basis braids must commute")
     if closure_component_count(a) != 1:
         raise ValueError("the closure of the first braid must be a knot")
-    n = a.strands
-    relators = []
-    for word in (a, b):
-        for i in range(1, n + 1):
-            gen = FreeWord.generator(n, i)
-            rel = gen * artin_act(word, gen).inverse()
-            if not rel.is_identity:
-                relators.append(rel)
-    return Presentation(n, tuple(relators), (1,) * n)
+    relators = closure_presentation(a).relators + closure_presentation(b).relators
+    return Presentation(a.strands, relators, (1,) * a.strands)
 
 
 def fox_derivative_abelianized(r: FreeWord, j: int, weights: Sequence[int]) -> LaurentPoly:
@@ -143,13 +140,43 @@ def fox_derivative_abelianized(r: FreeWord, j: int, weights: Sequence[int]) -> L
     return LaurentPoly(coeffs)
 
 
-def alexander_matrix(p: Presentation) -> LaurentMatrix:
+def fox_matrix(p: Presentation) -> LaurentMatrix:
     """Rows are relators, columns are generators."""
     grid = tuple(
         tuple(fox_derivative_abelianized(rel, j, p.weights) for j in range(1, p.generators + 1))
         for rel in p.relators
     )
     return LaurentMatrix(len(p.relators), p.generators, grid)
+
+
+def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
+    """Nonzero rows of I - J(w) for each braid w given, in order: equal to
+    ``fox_matrix`` of the closure or torus-covering presentation, zero rows
+    dropped.  J(w), the abelianized Fox Jacobian of the automorphism of w,
+    is the product of its unreduced Burau letter matrices (Birman 1974,
+    section 3); from the identity, each letter, first to last, updates:
+
+        +i:  row_i <- (1-t) row_i + t row_{i+1},  row_{i+1} <- old row_i
+        -i:  row_i <- row_{i+1},  row_{i+1} <- t^-1 row_i + (1-t^-1) row_{i+1}
+    """
+    if len({word.strands for word in braids}) != 1:
+        raise ValueError("one or more braids on the same number of strands are required")
+    n = braids[0].strands
+    identity = LaurentMatrix.identity(n)
+    rows = []
+    for word in braids:
+        jac = [list(row) for row in identity.entries]
+        for letter in word.letters:
+            i = abs(letter) - 1
+            top, bottom = jac[i], jac[i + 1]
+            if letter > 0:
+                jac[i] = [x + (y - x).shifted(1) for x, y in zip(top, bottom)]
+                jac[i + 1] = top
+            else:
+                jac[i] = bottom
+                jac[i + 1] = [y + (x - y).shifted(-1) for x, y in zip(top, bottom)]
+        rows.extend((identity - LaurentMatrix.from_rows(jac, cols=n)).without_zero_rows().entries)
+    return LaurentMatrix.from_rows(rows, cols=n)
 
 
 def closure_diagram(a: BraidWord) -> ClosureDiagram:

@@ -14,10 +14,10 @@ import pytest
 
 from kreps.braids import (
     BraidWord,
-    closure_component_count,
     full_twist,
     parse_braid,
     prime_twist_family,
+    random_knot_braid,
 )
 from kreps.colorings import (
     colorability_profile,
@@ -73,27 +73,17 @@ def family_pair(n, p, m):
     return prime_twist_family(n, p, (1,) * (n - 1), None, m)
 
 
-def family_presentation(n, p, m):
+def family_matrix(n, p, m):
     c, b = family_pair(n, p, m)
-    return c, b, torus_covering_presentation(c, b)
-
-
-def random_knot_braid(rng, max_strands=4, max_len=8):
-    while True:
-        n = rng.randint(2, max_strands)
-        length = rng.randint(1, max_len)
-        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
-        a = BraidWord(n, letters)
-        if closure_component_count(a) == 1:
-            return a
+    return c, b, alexander_matrix(c, b)
 
 
 def test_criterion_1_family_counts():
     for n, p, m, expected_reps, expected_colorings in FAMILY_CASES:
         start = time.monotonic()
-        c, b, pres = family_presentation(n, p, m)
-        _, det = elementary_ideal_data(alexander_matrix(pres))
-        classes = enumerate_rep_classes(pres)
+        c, b, matrix = family_matrix(n, p, m)
+        _, det = elementary_ideal_data(matrix)
+        classes = enumerate_rep_classes(matrix)
         assert count_irreducible_metabelian(det) == expected_reps, (n, p, m)
         assert len(classes) == expected_reps, (n, p, m)
         assert expected_reps == (p ** (n - 1) - 1) // 2
@@ -107,10 +97,10 @@ def test_criterion_1_family_counts():
 def test_criterion_2_classical_sanity():
     for name, text, strands, expected_det, expected_classes in CLASSICAL_CASES:
         a = parse_braid(text, strands)
-        pres = closure_presentation(a)
-        _, det = elementary_ideal_data(alexander_matrix(pres))
+        matrix = alexander_matrix(a)
+        _, det = elementary_ideal_data(matrix)
         assert det == expected_det, name
-        classes = enumerate_rep_classes(pres)
+        classes = enumerate_rep_classes(matrix)
         assert len(classes) == expected_classes, name
         # brute-force coloring oracle: base-fixed colorings modulo det
         # number exactly det, and only the trivial one exists at primes
@@ -128,17 +118,16 @@ def test_criterion_2_classical_sanity():
 def test_criterion_3_determinant_colorability_rule():
     exercised = 0
     for n, p, m, expected_reps, _ in FAMILY_CASES:
-        c, b, pres = family_presentation(n, p, m)
-        matrix = alexander_matrix(pres)
+        c, b, matrix = family_matrix(n, p, m)
         _, surface_det = elementary_ideal_data(matrix)
-        _, base_det = elementary_ideal_data(alexander_matrix(closure_presentation(c)))
+        _, base_det = elementary_ideal_data(alexander_matrix(c))
         assert base_det == p ** (n - 1), (n, p, m)
         assert surface_det == base_det, (n, p, m)
         assert expected_reps == (base_det - 1) // 2, (n, p, m)
         hypothesis = is_p_colorable(matrix, base_det)
         if hypothesis:
             exercised += 1
-            assert len(enumerate_rep_classes(pres)) == (base_det - 1) // 2
+            assert len(enumerate_rep_classes(matrix)) == (base_det - 1) // 2
         if n == 2:
             # prime determinant: the colorability hypothesis genuinely holds
             assert hypothesis, (n, p, m)
@@ -168,14 +157,14 @@ def test_criterion_3_determinant_colorability_rule():
 )
 def test_criterion_3_literal_blanket_colorability():
     for n, p, m, _, _ in FAMILY_CASES:
-        _, _, pres = family_presentation(n, p, m)
-        assert is_p_colorable(alexander_matrix(pres), p ** (n - 1)), (n, p, m)
+        _, _, matrix = family_matrix(n, p, m)
+        assert is_p_colorable(matrix, p ** (n - 1)), (n, p, m)
 
 
 def test_criterion_4_only_p_colorability_rule():
     for n, p, m, expected_reps, expected_colorings in FAMILY_CASES:
-        c, b, pres = family_presentation(n, p, m)
-        profile = colorability_profile(c, b, 4 * p)
+        c, b, matrix = family_matrix(n, p, m)
+        profile = colorability_profile(matrix, 4 * p)
         base_count = p ** (n - 1)
         for r, cond in profile:
             assert cond in (1, base_count), (n, p, m, r, cond)
@@ -190,8 +179,8 @@ def test_criterion_5_oracle_equivalence_sweep():
     rng = random.Random(20260810)
     start = time.monotonic()
     for trial in range(100):
-        a = random_knot_braid(rng)
-        pres_matrix = alexander_matrix(closure_presentation(a))
+        a = random_knot_braid(rng, 4, 8)
+        pres_matrix = alexander_matrix(a)
         poly, det = elementary_ideal_data(pres_matrix)
         oracle = burau_alexander(a)
         assert normalize_unit(poly) == oracle, f"trial {trial}: {a}"
@@ -223,14 +212,18 @@ def test_criterion_5_oracle_equivalence_sweep():
 
 
 def test_criterion_6_representation_validity():
-    presentations = []
+    # classes come from the braid-built matrix and are verified on the
+    # free-word relators of the independent presentation
+    cases = []
     for n, p, m, _, _ in FAMILY_CASES:
-        presentations.append(family_presentation(n, p, m)[2])
+        c, b, matrix = family_matrix(n, p, m)
+        cases.append((matrix, torus_covering_presentation(c, b)))
     for _, text, strands, _, _ in CLASSICAL_CASES:
-        presentations.append(closure_presentation(parse_braid(text, strands)))
-    for pres in presentations:
-        _, det = elementary_ideal_data(alexander_matrix(pres))
-        classes = enumerate_rep_classes(pres)
+        a = parse_braid(text, strands)
+        cases.append((alexander_matrix(a), closure_presentation(a)))
+    for matrix, pres in cases:
+        _, det = elementary_ideal_data(matrix)
+        classes = enumerate_rep_classes(matrix)
         assert len(classes) == (det - 1) // 2
         for rc in classes:
             assert verify_representation(pres, rc.assignment)
@@ -281,9 +274,8 @@ def test_criterion_7_integer_linear_algebra_battery():
 def test_criterion_8_surface_determinant_parity():
     rng = random.Random(88)
     for trial in range(50):
-        a = random_knot_braid(rng)
+        a = random_knot_braid(rng, 4, 8)
         b = full_twist(a.strands) ** rng.randint(0, 3)
-        pres = torus_covering_presentation(a, b)
-        _, det = elementary_ideal_data(alexander_matrix(pres))
+        _, det = elementary_ideal_data(alexander_matrix(a, b))
         assert det % 2 == 1, f"trial {trial}: {a} with twist {b}"
     print("ACCEPTANCE 8 (surface determinants are odd on 50 twisted pairs): PASS")

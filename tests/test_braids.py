@@ -13,6 +13,7 @@ from kreps.braids import (
     full_twist,
     parse_braid,
     prime_twist_family,
+    random_knot_braid,
 )
 
 
@@ -167,6 +168,16 @@ def test_action_rank_mismatch():
 
 
 # -- commutation -----------------------------------------------------------
+
+
+def test_random_knot_braids_are_seeded_knots():
+    draws = [random_knot_braid(random.Random(5), 4, 8) for _ in range(2)]
+    assert draws[0] == draws[1]
+    rng = random.Random(6)
+    for _ in range(50):
+        a = random_knot_braid(rng, 3, 5)
+        assert 2 <= a.strands <= 3 and 1 <= len(a) <= 5
+        assert closure_component_count(a) == 1
 
 
 def test_braid_commutes_with_itself():

@@ -107,6 +107,39 @@ def test_family_with_signs_and_perm(capsys):
     assert report["rep_count"] == 4
 
 
+def test_family_signs_attached_dashes(capsys):
+    # argparse may strip the value of --signs=--; it must then fail cleanly
+    code, out, err = run(capsys, "family", "3", "3", "1", "--signs=--", "--json")
+    if code == EXIT_OK:
+        assert json.loads(out)["input"]["signs"] == [-1, -1]
+    else:
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
+    report = run_json(capsys, "family", "3", "3", "1", "--signs=-,-", "--json")
+    assert report["input"]["signs"] == [-1, -1]
+
+
+def test_knot_report_never_builds_free_words(capsys, monkeypatch):
+    import sys
+
+    import kreps.presentations as presentations
+
+    argv = ("knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json")
+    code, expected, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    retired = (presentations.closure_presentation, presentations.fox_derivative_abelianized)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a knot report reached the free-word route")
+
+    for name, module in list(sys.modules.items()):
+        if name == "kreps" or name.startswith("kreps."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in retired):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
+
+
 def test_exit_code_family_assertion(capsys, monkeypatch):
     import kreps.cli as cli
     from kreps.colorings import ColoringCensus

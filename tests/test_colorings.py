@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from kreps.braids import BraidWord, full_twist, parse_braid
+from kreps.braids import BraidWord, full_twist, parse_braid, random_knot_braid
 from kreps.colorings import (
     ColoringCensus,
     colorability_profile,
@@ -15,31 +15,13 @@ from kreps.colorings import (
     is_p_colorable,
     surface_coloring_census,
 )
-from kreps.presentations import (
-    alexander_matrix,
-    closure_diagram,
-    closure_presentation,
-    coloring_matrix,
-    torus_covering_presentation,
-)
+from kreps.presentations import alexander_matrix, closure_diagram, coloring_matrix
 
 TREFOIL = parse_braid("1^3", 2)
 
 
-def random_knot_braid(rng, max_strands=4, max_len=7):
-    from kreps.braids import closure_component_count
-
-    while True:
-        n = rng.randint(2, max_strands)
-        length = rng.randint(1, max_len)
-        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
-        a = BraidWord(n, letters)
-        if closure_component_count(a) == 1:
-            return a
-
-
 def trefoil_matrix():
-    return alexander_matrix(closure_presentation(TREFOIL))
+    return alexander_matrix(TREFOIL)
 
 
 # -- the quandle operation ------------------------------------------------
@@ -138,8 +120,8 @@ def test_colorable_implies_determinant_divisible():
 
     rng = random.Random(42)
     for _ in range(20):
-        a = random_knot_braid(rng)
-        matrix = alexander_matrix(closure_presentation(a))
+        a = random_knot_braid(rng, 4, 7)
+        matrix = alexander_matrix(a)
         _, det = elementary_ideal_data(matrix)
         for p in (2, 3, 5, 7):
             if is_p_colorable(matrix, p):
@@ -173,7 +155,7 @@ def test_transport_fixed_points_match_matrix_solutions():
     rng = random.Random(43)
     for _ in range(20):
         a = random_knot_braid(rng, max_strands=3, max_len=6)
-        matrix = alexander_matrix(closure_presentation(a))
+        matrix = alexander_matrix(a)
         for r in (2, 3, 5):
             fixed = sum(
                 1
@@ -202,7 +184,7 @@ def test_surface_census_with_identity_matches_closure():
     for _ in range(10):
         a = random_knot_braid(rng, max_strands=3, max_len=6)
         e = BraidWord.identity(a.strands)
-        matrix = alexander_matrix(closure_presentation(a))
+        matrix = alexander_matrix(a)
         for r in (2, 3, 5):
             surf = surface_coloring_census(a, e, r)
             alg = coloring_census(matrix, r)
@@ -219,7 +201,7 @@ def test_census_consistency_random_twisted_pairs():
     for _ in range(12):
         a = random_knot_braid(rng, max_strands=3, max_len=6)
         b = full_twist(a.strands) ** rng.randint(0, 2)
-        matrix = alexander_matrix(torus_covering_presentation(a, b))
+        matrix = alexander_matrix(a, b)
         for r in range(2, 13):
             surf = surface_coloring_census(a, b, r)
             alg = coloring_census(matrix, r)
@@ -232,19 +214,19 @@ def test_census_consistency_random_twisted_pairs():
 
 def test_profile_family_two_strands():
     a, b = TREFOIL, parse_braid("1^6", 2)
-    for r, cond in colorability_profile(a, b, 12):
+    for r, cond in colorability_profile(alexander_matrix(a, b), 12):
         assert cond == (3 if r % 3 == 0 else 1)
 
 
 def test_profile_unknot():
     a = parse_braid("1", 2)
-    for _, cond in colorability_profile(a, BraidWord.identity(2), 10):
+    for _, cond in colorability_profile(alexander_matrix(a), 10):
         assert cond == 1
 
 
 def test_profile_trefoil():
     a = TREFOIL
-    for r, cond in colorability_profile(a, BraidWord.identity(2), 12):
+    for r, cond in colorability_profile(alexander_matrix(a), 12):
         assert cond == (3 if r % 3 == 0 else 1)
 
 
@@ -253,7 +235,7 @@ def test_profile_prime_power_counts():
     rng = random.Random(46)
     for _ in range(10):
         a = random_knot_braid(rng, max_strands=3, max_len=6)
-        profile = dict(colorability_profile(a, BraidWord.identity(a.strands), 7))
+        profile = dict(colorability_profile(alexander_matrix(a), 7))
         for p in (3, 5, 7):
             count = profile[p]
             while count % p == 0:

@@ -5,7 +5,6 @@ import pytest
 from kreps.laurent import (
     LaurentMatrix,
     LaurentPoly,
-    eval_at,
     exact_div,
     laurent_det,
     laurent_minor_gcd,
@@ -41,12 +40,12 @@ def test_pow():
 
 def test_evaluation():
     trefoil = LaurentPoly({0: 1, 1: -1, 2: 1})
-    assert eval_at(trefoil, -1) == 3
-    assert eval_at(trefoil, 1) == 1
-    assert eval_at(LaurentPoly.zero(), -1) == 0
-    assert eval_at(LaurentPoly.t(-3), -1) == -1
+    assert trefoil.evaluate(-1) == 3
+    assert trefoil.evaluate(1) == 1
+    assert LaurentPoly.zero().evaluate(-1) == 0
+    assert LaurentPoly.t(-3).evaluate(-1) == -1
     with pytest.raises(ValueError):
-        eval_at(trefoil, 2)
+        trefoil.evaluate(2)
 
 
 def test_evaluation_is_ring_hom():

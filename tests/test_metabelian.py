@@ -14,7 +14,14 @@ from kreps.metabelian import (
     is_irreducible,
     verify_representation,
 )
-from kreps.presentations import Presentation, closure_presentation, torus_covering_presentation
+from kreps.presentations import (
+    Presentation,
+    alexander_matrix,
+    closure_presentation,
+    elementary_ideal_data,
+    fox_matrix,
+    torus_covering_presentation,
+)
 
 D = BinaryDihedralElt.d
 R = BinaryDihedralElt.r
@@ -125,7 +132,7 @@ def test_count_from_colorings():
 
 def test_build_representation_trefoil_wirtinger():
     pres = wirtinger_trefoil()
-    assignment = build_representation(pres, (0, 1, 2), 3)
+    assignment = build_representation(fox_matrix(pres), (0, 1, 2), 3)
     assert assignment == (R(3, 0), R(3, 4), R(3, 2))
     assert verify_representation(pres, assignment)
     assert is_irreducible(assignment)
@@ -133,7 +140,7 @@ def test_build_representation_trefoil_wirtinger():
 
 def test_build_representation_trivial_coloring_is_reducible():
     pres = wirtinger_trefoil()
-    assignment = build_representation(pres, (0, 0, 0), 3)
+    assignment = build_representation(fox_matrix(pres), (0, 0, 0), 3)
     assert assignment == (R(3, 0), R(3, 0), R(3, 0))
     assert verify_representation(pres, assignment)
     assert not is_irreducible(assignment)
@@ -142,14 +149,14 @@ def test_build_representation_trivial_coloring_is_reducible():
 def test_build_representation_rejects_non_colorings():
     pres = wirtinger_trefoil()
     with pytest.raises(ValueError):
-        build_representation(pres, (0, 1, 1), 3)
+        build_representation(fox_matrix(pres), (0, 1, 1), 3)
     with pytest.raises(ValueError):
-        build_representation(pres, (0, 1, 2), 4)  # even modulus
+        build_representation(fox_matrix(pres), (0, 1, 2), 4)  # even modulus
 
 
 def test_verify_rejects_perturbed_assignment():
     pres = wirtinger_trefoil()
-    assignment = build_representation(pres, (0, 1, 2), 3)
+    assignment = build_representation(fox_matrix(pres), (0, 1, 2), 3)
     perturbed = (assignment[0], R(3, assignment[1].angle + 1), assignment[2])
     assert not verify_representation(pres, perturbed)
 
@@ -180,7 +187,7 @@ def test_negation_pairing_by_conjugation():
 
 def test_trefoil_classes():
     pres = closure_presentation(TREFOIL)
-    classes = enumerate_rep_classes(pres)
+    classes = enumerate_rep_classes(alexander_matrix(TREFOIL))
     assert len(classes) == 1
     rc = classes[0]
     assert rc.modulus == 3
@@ -190,14 +197,13 @@ def test_trefoil_classes():
 
 
 def test_unknot_has_no_classes():
-    pres = closure_presentation(parse_braid("1", 2))
-    assert enumerate_rep_classes(pres) == []
+    assert enumerate_rep_classes(alexander_matrix(parse_braid("1", 2))) == []
 
 
 def test_surface_family_classes():
     c, b = parse_braid("1^3 2^3", 3), full_twist(3) ** 2
     pres = torus_covering_presentation(c, b)
-    classes = enumerate_rep_classes(pres)
+    classes = enumerate_rep_classes(alexander_matrix(c, b))
     assert len(classes) == 4
     for rc in classes:
         assert verify_representation(pres, rc.assignment)
@@ -206,8 +212,7 @@ def test_surface_family_classes():
 
 
 def test_classes_are_distinct_up_to_negation():
-    pres = closure_presentation(parse_braid("1^5", 2))
-    classes = enumerate_rep_classes(pres)
+    classes = enumerate_rep_classes(alexander_matrix(parse_braid("1^5", 2)))
     assert len(classes) == 2
     seen = set()
     for rc in classes:
@@ -218,8 +223,7 @@ def test_classes_are_distinct_up_to_negation():
 
 
 def test_representation_angles_are_even():
-    pres = closure_presentation(parse_braid("1 -2 1 -2", 3))
-    for rc in enumerate_rep_classes(pres):
+    for rc in enumerate_rep_classes(alexander_matrix(parse_braid("1 -2 1 -2", 3))):
         for elt in rc.assignment:
             assert elt.kind == "R"
             assert elt.angle % 2 == 0
@@ -227,13 +231,13 @@ def test_representation_angles_are_even():
 
 def test_four_strand_family_counts():
     from kreps.braids import prime_twist_family
-    from kreps.presentations import alexander_matrix, elementary_ideal_data
 
     c, b = prime_twist_family(4, 3, (1, 1, 1), None, 1)
     pres = torus_covering_presentation(c, b)
-    _, det = elementary_ideal_data(alexander_matrix(pres))
+    matrix = alexander_matrix(c, b)
+    _, det = elementary_ideal_data(matrix)
     assert det == 27
-    classes = enumerate_rep_classes(pres)
+    classes = enumerate_rep_classes(matrix)
     assert len(classes) == 13
     for rc in classes:
         assert verify_representation(pres, rc.assignment)
@@ -242,23 +246,21 @@ def test_four_strand_family_counts():
 
 def test_negative_twist_power_family():
     from kreps.braids import prime_twist_family
-    from kreps.presentations import alexander_matrix, elementary_ideal_data
 
     c, b = prime_twist_family(3, 3, (1, 1), None, -1)
-    pres = torus_covering_presentation(c, b)
-    _, det = elementary_ideal_data(alexander_matrix(pres))
+    matrix = alexander_matrix(c, b)
+    _, det = elementary_ideal_data(matrix)
     assert det == 9
-    assert len(enumerate_rep_classes(pres)) == 4
+    assert len(enumerate_rep_classes(matrix)) == 4
 
 
 def test_five_strand_family_counts():
     from kreps.braids import prime_twist_family
     from kreps.colorings import surface_coloring_census
-    from kreps.presentations import alexander_matrix, elementary_ideal_data
 
     c, b = prime_twist_family(5, 3, (1, 1, 1, 1), None, 1)
-    pres = torus_covering_presentation(c, b)
-    _, det = elementary_ideal_data(alexander_matrix(pres))
+    matrix = alexander_matrix(c, b)
+    _, det = elementary_ideal_data(matrix)
     assert det == 81
-    assert len(enumerate_rep_classes(pres)) == 40
+    assert len(enumerate_rep_classes(matrix)) == 40
     assert surface_coloring_census(c, b, 3).total == 243

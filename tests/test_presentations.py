@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kreps.braids import BraidWord, FreeWord, full_twist, parse_braid
+from kreps.braids import BraidWord, FreeWord, full_twist, parse_braid, random_knot_braid
 from kreps.intlinalg import IntMatrix, determinantal_divisor
 from kreps.laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd, normalize_unit
 from kreps.presentations import (
@@ -16,6 +16,7 @@ from kreps.presentations import (
     coloring_matrix,
     elementary_ideal_data,
     fox_derivative_abelianized,
+    fox_matrix,
     torus_covering_presentation,
 )
 
@@ -26,18 +27,6 @@ GRANNY = parse_braid("1^3 2^3", 3)
 
 TREFOIL_POLY = LaurentPoly({0: 1, 1: -1, 2: 1})
 FIGURE_EIGHT_POLY = LaurentPoly({0: 1, 1: -3, 2: 1})
-
-
-def random_knot_braid(rng, max_strands=4, max_len=8):
-    from kreps.braids import closure_component_count
-
-    while True:
-        n = rng.randint(2, max_strands)
-        length = rng.randint(1, max_len)
-        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
-        a = BraidWord(n, letters)
-        if closure_component_count(a) == 1:
-            return a
 
 
 # -- presentations -----------------------------------------------------------
@@ -65,7 +54,7 @@ def test_trefoil_relator_words():
 def test_relators_have_zero_weighted_sum():
     rng = random.Random(31)
     for _ in range(25):
-        a = random_knot_braid(rng)
+        a = random_knot_braid(rng, 4, 8)
         pres = closure_presentation(a)
         for rel in pres.relators:
             assert rel.weighted_exponent_sum(pres.weights) == 0
@@ -90,11 +79,11 @@ def test_torus_presentation_requires_knot():
 def test_torus_presentation_with_identity_matches_closure():
     rng = random.Random(32)
     for _ in range(15):
-        a = random_knot_braid(rng)
+        a = random_knot_braid(rng, 4, 8)
         closure = closure_presentation(a)
         spun = torus_covering_presentation(a, BraidWord.identity(a.strands))
-        _, det_closure = elementary_ideal_data(alexander_matrix(closure))
-        _, det_spun = elementary_ideal_data(alexander_matrix(spun))
+        _, det_closure = elementary_ideal_data(fox_matrix(closure))
+        _, det_spun = elementary_ideal_data(fox_matrix(spun))
         assert det_closure == det_spun
 
 
@@ -129,13 +118,13 @@ def test_fox_derivative_inverse_letter():
 
 
 def test_unknot_matrix_is_empty():
-    matrix = alexander_matrix(closure_presentation(BraidWord.identity(1)))
+    matrix = alexander_matrix(BraidWord.identity(1))
     assert matrix.rows == 0 and matrix.cols == 1
     assert elementary_ideal_data(matrix) == (LaurentPoly.one(), 1)
 
 
 def test_trefoil_ideal_data():
-    matrix = alexander_matrix(closure_presentation(TREFOIL))
+    matrix = alexander_matrix(TREFOIL)
     poly, det = elementary_ideal_data(matrix)
     assert poly == TREFOIL_POLY
     assert det == 3
@@ -145,13 +134,38 @@ def test_trefoil_ideal_data():
 def test_matrix_rows_sum_to_zero():
     rng = random.Random(33)
     for _ in range(20):
-        a = random_knot_braid(rng)
-        matrix = alexander_matrix(closure_presentation(a))
+        a = random_knot_braid(rng, 4, 8)
+        matrix = alexander_matrix(a)
         for row in matrix.entries:
             total = LaurentPoly.zero()
             for entry in row:
                 total = total + entry
             assert total.is_zero
+
+
+def _fox_rows(p):
+    m = fox_matrix(p)
+    return LaurentMatrix.from_rows([row for row in m.entries if any(row)], cols=m.cols)
+
+
+def test_burau_built_matrix_equals_fox_matrix():
+    # the production route against the free-word oracle, zero rows dropped
+    rng = random.Random(39)
+    for _ in range(200):
+        a = random_knot_braid(rng, 5, 12)
+        assert alexander_matrix(a) == _fox_rows(closure_presentation(a)), f"braid {a}"
+    for _ in range(40):
+        a = random_knot_braid(rng, 4, 6)
+        for b in [full_twist(a.strands) ** k for k in (-1, 1, 2)] + [a**2]:
+            expected = _fox_rows(torus_covering_presentation(a, b))
+            assert alexander_matrix(a, b) == expected, f"pair {a} / {b}"
+
+
+def test_burau_built_matrix_rejects_bad_input():
+    with pytest.raises(ValueError):
+        alexander_matrix()
+    with pytest.raises(ValueError):
+        alexander_matrix(TREFOIL, BraidWord.identity(3))
 
 
 def test_ideal_data_edge_cases():
@@ -193,7 +207,7 @@ def test_diagram_needs_a_crossing():
 def test_knot_diagram_underpass_incidence():
     rng = random.Random(34)
     for _ in range(25):
-        a = random_knot_braid(rng)
+        a = random_knot_braid(rng, 4, 8)
         d = closure_diagram(a)
         incoming = sorted(c.under_in for c in d.crossings)
         outgoing = sorted(c.under_out for c in d.crossings)
@@ -245,7 +259,7 @@ def test_torus_knot_closed_forms():
     t34 = parse_braid("1 2 1 2 1 2 1 2", 3)
     expected = LaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1})
     assert burau_alexander(t34) == expected
-    poly, det = elementary_ideal_data(alexander_matrix(closure_presentation(t34)))
+    poly, det = elementary_ideal_data(alexander_matrix(t34))
     assert poly == expected
     assert det == 3
 
@@ -263,8 +277,8 @@ def test_burau_rejects_links():
 def test_burau_matches_fox_route():
     rng = random.Random(35)
     for _ in range(40):
-        a = random_knot_braid(rng)
-        matrix = alexander_matrix(closure_presentation(a))
+        a = random_knot_braid(rng, 4, 8)
+        matrix = fox_matrix(closure_presentation(a))
         poly, det = elementary_ideal_data(matrix)
         oracle = burau_alexander(a)
         assert normalize_unit(poly) == oracle, f"braid {a}"
@@ -281,34 +295,34 @@ def test_classical_determinants():
         (CINQUEFOIL, 5),
         (GRANNY, 9),
     ):
-        _, det = elementary_ideal_data(alexander_matrix(closure_presentation(braid)))
+        _, det = elementary_ideal_data(alexander_matrix(braid))
         assert det == expected_det
 
 
 def test_surface_determinants():
     a, b = TREFOIL, parse_braid("1^6", 2)
-    _, det = elementary_ideal_data(alexander_matrix(torus_covering_presentation(a, b)))
+    _, det = elementary_ideal_data(alexander_matrix(a, b))
     assert det == 3
 
     c, tau2 = GRANNY, full_twist(3) ** 2
-    _, det9 = elementary_ideal_data(alexander_matrix(torus_covering_presentation(c, tau2)))
+    _, det9 = elementary_ideal_data(alexander_matrix(c, tau2))
     assert det9 == 9
 
 
 def test_surface_determinant_is_odd():
     rng = random.Random(36)
     for _ in range(20):
-        a = random_knot_braid(rng)
+        a = random_knot_braid(rng, 4, 8)
         b = full_twist(a.strands) ** rng.randint(0, 2)
-        _, det = elementary_ideal_data(alexander_matrix(torus_covering_presentation(a, b)))
+        _, det = elementary_ideal_data(alexander_matrix(a, b))
         assert det % 2 == 1
 
 
 def test_diagram_vs_presentation_divisors():
     rng = random.Random(37)
     for _ in range(30):
-        a = random_knot_braid(rng)
-        pres_matrix = alexander_matrix(closure_presentation(a))
+        a = random_knot_braid(rng, 4, 8)
+        pres_matrix = alexander_matrix(a)
         diag_matrix = coloring_matrix(closure_diagram(a))
         pres_int = IntMatrix.from_rows(pres_matrix.evaluate(-1), cols=pres_matrix.cols)
         diag_int = IntMatrix.from_rows(diag_matrix.evaluate(-1), cols=diag_matrix.cols)
