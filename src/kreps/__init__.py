@@ -70,11 +70,12 @@ from .presentations import (
     Crossing,
     Presentation,
     alexander_matrix,
+    alexander_poly,
     burau_alexander,
     closure_diagram,
     closure_presentation,
+    coloring_form,
     coloring_matrix,
-    elementary_ideal_data,
     fox_derivative_abelianized,
     fox_matrix,
     torus_covering_presentation,

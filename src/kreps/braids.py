@@ -70,13 +70,14 @@ class BraidWord:
 
 
 _TOKEN = re.compile(r"([+-]?\d+)(?:\^(\d+))?")
+MAX_BRAID_LETTERS = 10_000
 
 
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated tokens ``±i`` or ``±i^e`` into a braid word.
 
-    Runs are expanded, so ``"1^3"`` equals ``"1 1 1"``.  The empty string
-    is the identity braid.
+    Runs are expanded, so ``"1^3"`` equals ``"1 1 1"``, up to
+    MAX_BRAID_LETTERS letters in all; the empty string is the identity braid.
     """
     if strands < 1:
         raise ValueError("a braid needs at least one strand")
@@ -95,6 +96,8 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             exp = int(match.group(2))
             if exp <= 0:
                 raise ValueError(f"exponent must be positive in token {token!r}")
+        if len(letters) + exp > MAX_BRAID_LETTERS:
+            raise ValueError(f"the braid word exceeds {MAX_BRAID_LETTERS} letters")
         letters.extend([letter] * exp)
     return BraidWord(strands, tuple(letters))
 

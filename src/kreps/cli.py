@@ -50,11 +50,12 @@ from .laurent import poly_str
 from .metabelian import count_irreducible_metabelian, enumerate_rep_classes
 from .presentations import (
     alexander_matrix,
+    alexander_poly,
     burau_alexander,
     closure_diagram,
     closure_presentation,
+    coloring_form,
     coloring_matrix,
-    elementary_ideal_data,
     fox_matrix,
     torus_covering_presentation,
 )
@@ -106,14 +107,16 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the braid is not a knot", EXIT_NOT_A_KNOT)
     matrix = alexander_matrix(a)
-    poly, det = elementary_ideal_data(matrix)
+    form = coloring_form(matrix)
+    poly = alexander_poly(matrix)
+    det = determinantal_divisor(form, form.cols)
     oracle = burau_alexander(a)
     fox_normal = poly_str(poly)
     checks = {
         "burau_matches_fox": fox_normal == poly_str(oracle),
         "determinant_matches_poly": det == abs(poly.evaluate(-1)),
     }
-    classes = enumerate_rep_classes(matrix)
+    classes = enumerate_rep_classes(form)
     rep_count = count_irreducible_metabelian(det)
     checks["class_count_matches_determinant"] = rep_count == len(classes)
     report: dict[str, Any] = {
@@ -126,7 +129,7 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
         "checks": checks,
     }
     if rmax is not None:
-        profile = colorability_profile(matrix, rmax)
+        profile = colorability_profile(form, rmax)
         report["colorings"] = _profile_payload(profile)
     return report
 
@@ -137,8 +140,10 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the first braid is not a knot", EXIT_NOT_A_KNOT)
     matrix = alexander_matrix(a, b)
-    poly, det = elementary_ideal_data(matrix)
-    classes = enumerate_rep_classes(matrix)
+    form = coloring_form(matrix)
+    poly = alexander_poly(matrix)
+    det = determinantal_divisor(form, form.cols)
+    classes = enumerate_rep_classes(form)
     rep_count = count_irreducible_metabelian(det)
     checks: dict[str, Any] = {
         "determinant_odd": det % 2 == 1,
@@ -146,15 +151,16 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
     }
 
     # classical data of the first braid's closure, for the counting cross-checks
-    _, base_det = elementary_ideal_data(alexander_matrix(a))
+    base_form = coloring_form(alexander_matrix(a))
+    base_det = determinantal_divisor(base_form, base_form.cols)
     checks["base_knot_determinant"] = str(base_det)
-    if base_det >= 2 and is_p_colorable(matrix, base_det):
+    if base_det >= 2 and is_p_colorable(form, base_det):
         checks["det_colorable_count_rule"] = rep_count == (base_det - 1) // 2
 
+    transported = {p: surface_coloring_census(a, b, p) for p in _odd_prime_factors(det)}
     censuses = []
-    for prime in _odd_prime_factors(det):
-        census = surface_coloring_census(a, b, prime)
-        algebraic = coloring_census(matrix, prime)
+    for prime, census in transported.items():
+        algebraic = coloring_census(form, prime)
         censuses.append(
             {
                 "r": prime,
@@ -183,18 +189,17 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
         "checks": checks,
     }
     if rmax is not None:
-        profile = colorability_profile(matrix, rmax)
+        profile = colorability_profile(form, rmax)
         report["colorings"] = _profile_payload(profile)
         # when the profile certifies only-p-colorability, the coloring
         # count determines the class count as (total - p) / (2p)
-        for prime in _odd_prime_factors(det):
+        for prime, census in transported.items():
             if rmax < 2 * prime:
                 continue
             counts = {cond for _, cond in profile}
             base = dict(profile).get(prime)
             if base is None or counts != {1, base}:
                 continue
-            census = surface_coloring_census(a, b, prime)
             checks[f"only_{prime}_count_rule"] = (
                 census.total == prime * base
                 and (census.total - prime) // (2 * prime) == rep_count
@@ -209,11 +214,12 @@ def family_report(
     c, b = prime_twist_family(n, p, sign_list, perm, m)
     report = surface_report(c, b, rmax=4 * p)
     expected_count = (p ** (n - 1) - 1) // 2
-    col_census = surface_coloring_census(c, b, p)
+    # p divides the determinant whenever the family counts hold
+    colorings_mod_p = {entry["r"]: entry["total"] for entry in report["censuses"]}.get(p)
     expected_colorings = p**n
     passed = (
         report["rep_count"] == expected_count
-        and col_census.total == expected_colorings
+        and colorings_mod_p == expected_colorings
     )
     report["input"] = {
         "kind": "family",
@@ -228,13 +234,13 @@ def family_report(
     report["family"] = {
         "expected_rep_count": expected_count,
         "expected_colorings_mod_p": expected_colorings,
-        "colorings_mod_p": col_census.total,
+        "colorings_mod_p": colorings_mod_p,
         "passed": passed,
     }
     if not passed:
         raise PipelineError(
             f"family counts diverged: reps {report['rep_count']} vs {expected_count}, "
-            f"colorings {col_census.total} vs {expected_colorings}",
+            f"colorings {colorings_mod_p} vs {expected_colorings}",
             EXIT_FAMILY_ASSERTION,
         )
     return report
@@ -249,23 +255,27 @@ def _braid_mismatch(a: BraidWord) -> str | None:
     matrix = alexander_matrix(a)
     if matrix != fox_matrix(closure_presentation(a)).without_zero_rows():
         return "burau-built matrix != fox matrix of the free-word presentation"
-    poly, det = elementary_ideal_data(matrix)
+    form = coloring_form(matrix)
+    poly = alexander_poly(matrix)
+    det = determinantal_divisor(form, form.cols)
     oracle = burau_alexander(a)
     if poly_str(poly) != poly_str(oracle):
         return f"minor gcd {poly_str(poly)} != reduced burau {poly_str(oracle)}"
     if det != abs(poly.evaluate(-1)):
         return f"determinant {det} != |poly(-1)|"
+    full = smith_normal_form(IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols))
+    if det != determinantal_divisor(full, matrix.cols - 1):
+        return f"form determinant {det} != divisor of the full matrix"
     diagram = closure_diagram(a)
     cmatrix = coloring_matrix(diagram)
-    a_int = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
-    c_int = IntMatrix.from_rows(cmatrix.evaluate(-1), cols=cmatrix.cols)
+    c_snf = smith_normal_form(IntMatrix.from_rows(cmatrix.evaluate(-1), cols=cmatrix.cols))
     for back in range(1, min(matrix.cols, cmatrix.cols) + 1):
-        lhs = determinantal_divisor(a_int, matrix.cols - back)
-        rhs = determinantal_divisor(c_int, cmatrix.cols - back)
+        lhs = determinantal_divisor(full, matrix.cols - back)
+        rhs = determinantal_divisor(c_snf, cmatrix.cols - back)
         if lhs != rhs:
             return f"divisor mismatch at depth {back}: {lhs} != {rhs}"
     for r in range(2, 8):
-        algebraic = coloring_census(matrix, r)
+        algebraic = coloring_census(form, r)
         transported = surface_coloring_census(a, BraidWord.identity(a.strands), r)
         brute = diagram_census_brute(diagram, r)
         if not (
@@ -319,10 +329,10 @@ def _matrix_mismatch(a: IntMatrix, rng: random.Random) -> str | None:
         if snf.divisors[i + 1] % snf.divisors[i]:
             return "divisor chain broken"
     for k in range(min(a.rows, a.cols) + 1):
-        if determinantal_divisor(a, k) != minor_gcd(a, k):
+        if determinantal_divisor(snf, k) != minor_gcd(a, k):
             return f"divisor {k} disagrees with brute-force minors"
     r = rng.randint(2, 12)
-    count = solution_count_mod(a, r)
+    count = solution_count_mod(snf, r)
     if count <= 20736:
         from itertools import product as iproduct
 
@@ -333,7 +343,7 @@ def _matrix_mismatch(a: IntMatrix, rng: random.Random) -> str | None:
         ]
         if count != len(brute):
             return f"solution count mod {r}: {count} != brute {len(brute)}"
-        enumerated = sorted(enumerate_solutions_mod(a, r))
+        enumerated = sorted(enumerate_solutions_mod(snf, r))
         if enumerated != sorted(brute):
             return f"solution enumeration mod {r} differs from brute force"
     return None
@@ -373,7 +383,12 @@ def verify_report(
             if matrix != fox_matrix(torus_covering_presentation(a, b)).without_zero_rows():
                 failure = f"burau-built and fox matrices differ for a={a}, twist power"
                 break
-            _, det = elementary_ideal_data(matrix)
+            form = coloring_form(matrix)
+            det = determinantal_divisor(form, form.cols)
+            a_int = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
+            if det != determinantal_divisor(smith_normal_form(a_int), matrix.cols - 1):
+                failure = f"form determinant {det} != full divisor for a={a}, twist power"
+                break
             if det % 2 == 0:
                 failure = f"even surface determinant {det} for a={a}, twist power"
                 break

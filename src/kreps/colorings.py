@@ -5,7 +5,7 @@ braid-top meridians (presentation picture) so that every crossing
 satisfies 2*over - in - out == 0 (mod r).  Three independent routes
 compute the same censuses:
 
-* solution counting on the evaluated matrix (Smith normal form),
+* solution counting on the coloring form (``presentations.coloring_form``),
 * fixed points of pushing colors through the braid crossing by crossing,
 * exhaustive enumeration of arc colors on the closure diagram.
 
@@ -25,6 +25,7 @@ from .braids import BraidWord, braids_commute
 from .intlinalg import (
     EnumerationCapExceeded,
     IntMatrix,
+    SNFResult,
     enumerate_solutions_mod,
     solution_count_mod,
     _enum_cap,
@@ -99,22 +100,17 @@ def generated_subgroup(colors: Iterable[int], p: int) -> int:
     return gcd(g, p) if g else p
 
 
-def coloring_census(m: LaurentMatrix, r: int, cap: int | None = None) -> ColoringCensus:
-    """Census of the solutions of M(-1) x == 0 modulo r.
+def coloring_census(form: SNFResult, r: int, cap: int | None = None) -> ColoringCensus:
+    """Census of the solutions of M(-1) x == 0 modulo r, read from the
+    coloring form of M (``presentations.coloring_form``).
 
-    The base for condition O is the last column.  Non-degeneracy is
-    decided by scanning the condition-O solutions only, which is enough
+    Every coloring is a condition-O one plus a constant.  Non-degeneracy
+    is decided by scanning the condition-O solutions only, which is enough
     because translating a coloring preserves what its colors generate.
     """
-    if r < 2:
-        raise ValueError("modulus must be at least 2")
-    if m.cols < 1:
-        raise ValueError("the matrix needs at least one column")
-    a = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
-    total = solution_count_mod(a, r)
-    reduced = a.column_deleted(m.cols - 1)
-    cond_solutions = [sol + (0,) for sol in enumerate_solutions_mod(reduced, r, cap=cap)]
+    cond_solutions = [sol + (0,) for sol in enumerate_solutions_mod(form, r, cap=cap)]
     nondeg = any(generated_subgroup(sol, r) == 1 for sol in cond_solutions)
+    total = r * len(cond_solutions)
     return ColoringCensus(
         modulus=r,
         total=total,
@@ -124,9 +120,9 @@ def coloring_census(m: LaurentMatrix, r: int, cap: int | None = None) -> Colorin
     )
 
 
-def is_p_colorable(m: LaurentMatrix, p: int) -> bool:
+def is_p_colorable(form: SNFResult, p: int) -> bool:
     """Whether some coloring modulo p generates all of Z/p."""
-    return coloring_census(m, p).nondegenerate
+    return coloring_census(form, p).nondegenerate
 
 
 def dihedral_transport(a: BraidWord, colors: Sequence[int], r: int) -> tuple[int, ...]:
@@ -187,18 +183,16 @@ def surface_coloring_census(
     )
 
 
-def colorability_profile(m: LaurentMatrix, r_max: int) -> list[tuple[int, int]]:
-    """Condition-O coloring counts of the Alexander matrix m for r = 2..r_max.
+def colorability_profile(form: SNFResult, r_max: int) -> list[tuple[int, int]]:
+    """Condition-O coloring counts of the coloring form for r = 2..r_max.
 
-    The matrix agrees with the transport census (a separately tested
+    The form agrees with the transport census (a separately tested
     invariant); only-p-colorable objects have profile values in
     {1, count at p}.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    a_int = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
-    reduced = a_int.column_deleted(m.cols - 1)
-    return [(r, solution_count_mod(reduced, r)) for r in range(2, r_max + 1)]
+    return [(r, solution_count_mod(form, r)) for r in range(2, r_max + 1)]
 
 
 def diagram_census_brute(

@@ -1,9 +1,10 @@
 """Exact integer matrix algebra.
 
-Smith normal form with unimodular transforms, determinantal divisors, and
-counting/enumeration of solutions of homogeneous systems modulo an
-arbitrary integer r >= 2.  Plain Python integers throughout, so nothing
-ever overflows.
+``smith_normal_form`` is the only function that reduces a matrix; the
+determinantal divisors and the counting/enumeration of solutions of
+homogeneous systems modulo any r >= 2 are read from its result.
+``minor_gcd`` is the oracle for the divisors.  Plain Python integers
+throughout, so nothing ever overflows.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ class IntMatrix:
                 raise ValueError("column count required for an empty matrix")
             cols = len(grid[0])
         return cls(len(grid), cols, grid)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -113,6 +107,10 @@ class SNFResult:
     def rank(self) -> int:
         return len(self.divisors)
 
+    @property
+    def cols(self) -> int:
+        return self.Q.rows
+
 
 def _min_abs_nonzero(m: list[list[int]], k: int, rows: int, cols: int) -> tuple[int, int] | None:
     best: tuple[int, int] | None = None
@@ -155,14 +153,9 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             q[i][j] -= f * q[i][k]
 
     k = 0
-    limit = min(rows, cols)
-    while k < limit:
-        placed = _min_abs_nonzero(m, k, rows, cols)
-        if placed is None:
-            break
+    while k < min(rows, cols) and _min_abs_nonzero(m, k, rows, cols) is not None:
         while True:
-            pos = _min_abs_nonzero(m, k, rows, cols)
-            i0, j0 = pos  # block is nonzero here by construction
+            i0, j0 = _min_abs_nonzero(m, k, rows, cols)  # the block is nonzero
             if i0 != k:
                 m[k], m[i0] = m[i0], m[k]
                 p[k], p[i0] = p[i0], p[k]
@@ -189,14 +182,10 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             if dirty:
                 continue
             # pivot must divide the rest of the block for the divisor chain
-            bad = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if m[i][j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next(
+                (i for i in range(k + 1, rows) if any(m[i][j] % piv for j in range(k + 1, cols))),
+                None,
+            )
             if bad is None:
                 break
             row_sub(k, bad, -1)  # pull the offending row into row k
@@ -210,16 +199,12 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     )
 
 
-def determinantal_divisor(a: IntMatrix, k: int) -> int:
-    """gcd of all k x k minors: 1 for k = 0, 0 if every k-minor vanishes.
-
-    Computed as the product of the first k invariant factors.
-    """
-    if k < 0 or k > min(a.rows, a.cols):
+def determinantal_divisor(snf: SNFResult, k: int) -> int:
+    """gcd of all k x k minors of the reduced matrix A, 0 <= k <= cols: the
+    product of the first k invariant factors, 1 for k = 0, and 0 if every
+    k-minor vanishes or A has fewer than k rows."""
+    if k < 0 or k > snf.cols:
         raise ValueError("minor size out of range")
-    if k == 0:
-        return 1
-    snf = smith_normal_form(a)
     if k > snf.rank:
         return 0
     return prod(snf.divisors[:k])
@@ -244,12 +229,11 @@ def minor_gcd(a: IntMatrix, k: int) -> int:
     return g
 
 
-def solution_count_mod(a: IntMatrix, r: int) -> int:
-    """Number of x in (Z/r)^cols with A x == 0 (mod r)."""
+def solution_count_mod(snf: SNFResult, r: int) -> int:
+    """Number of x in (Z/r)^cols with A x == 0 (mod r), A the reduced matrix."""
     if r < 2:
         raise ValueError("modulus must be at least 2")
-    snf = smith_normal_form(a)
-    count = r ** (a.cols - snf.rank)
+    count = r ** (snf.cols - snf.rank)
     for d in snf.divisors:
         count *= gcd(d, r)
     return count
@@ -261,7 +245,9 @@ def _enum_cap(cap: int | None) -> int:
     return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
 
 
-def enumerate_solutions_mod(a: IntMatrix, r: int, cap: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_solutions_mod(
+    snf: SNFResult, r: int, cap: int | None = None
+) -> list[tuple[int, ...]]:
     """All x in (Z/r)^cols with A x == 0 (mod r), without duplicates.
 
     Solutions are Q x' where the pivot coordinates of x' run over the
@@ -269,24 +255,22 @@ def enumerate_solutions_mod(a: IntMatrix, r: int, cap: int | None = None) -> lis
     residues.  Raises EnumerationCapExceeded if the solution count
     exceeds the cap (default 10**6, overridable via KREPS_ENUM_CAP).
     """
-    if r < 2:
-        raise ValueError("modulus must be at least 2")
-    total = solution_count_mod(a, r)
+    total = solution_count_mod(snf, r)
     limit = _enum_cap(cap)
     if total > limit:
         raise EnumerationCapExceeded(f"{total} solutions exceed the cap of {limit}")
-    snf = smith_normal_form(a)
+    cols = snf.cols
     ranges: list[range] = []
     for d in snf.divisors:
         g = gcd(d, r)
         ranges.append(range(0, r, r // g))
-    for _ in range(a.cols - snf.rank):
+    for _ in range(cols - snf.rank):
         ranges.append(range(r))
     qm = snf.Q.entries
     out: list[tuple[int, ...]] = []
     for xprime in product(*ranges):
         x = tuple(
-            sum(qm[i][j] * xprime[j] for j in range(a.cols)) % r for i in range(a.cols)
+            sum(qm[i][j] * xprime[j] for j in range(cols)) % r for i in range(cols)
         )
         out.append(x)
     return out

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .braids import is_odd_prime
-from .intlinalg import IntMatrix, determinantal_divisor, enumerate_solutions_mod
+from .intlinalg import IntMatrix, SNFResult, determinantal_divisor, enumerate_solutions_mod
 from .laurent import LaurentMatrix
 from .presentations import Presentation
 
@@ -190,23 +190,21 @@ class RepClass:
     assignment: tuple[BinaryDihedralElt, ...]
 
 
-def enumerate_rep_classes(matrix: LaurentMatrix, cap: int | None = None) -> list[RepClass]:
+def enumerate_rep_classes(form: SNFResult, cap: int | None = None) -> list[RepClass]:
     """All conjugacy classes of irreducible metabelian SU(2) representations.
 
-    Colorings modulo the determinant with the last generator pinned to 0
-    are enumerated through the Smith normal form; the zero solution is
-    reducible and dropped, and c, -c give conjugate representations, so
-    representatives keep the lexicographically smaller of the pair.  The
-    result has (det - 1) / 2 classes, lifted without rebuilding the matrix.
+    The determinant and the colorings modulo it with the last generator
+    pinned to 0 are read from the coloring form of the Alexander matrix
+    (``presentations.coloring_form``); the zero solution is reducible and
+    dropped, and c, -c give conjugate representations, so representatives
+    keep the lexicographically smaller of the pair: (det - 1) / 2 classes.
     """
-    a = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
-    det = determinantal_divisor(a, matrix.cols - 1)
+    det = determinantal_divisor(form, form.cols)
     if det < 1 or det % 2 == 0:
         raise ValueError("expected a positive odd determinant")
     if det == 1:
         return []
-    reduced = a.column_deleted(matrix.cols - 1)
-    solutions = [sol + (0,) for sol in enumerate_solutions_mod(reduced, det, cap=cap)]
+    solutions = [sol + (0,) for sol in enumerate_solutions_mod(form, det, cap=cap)]
     if len(solutions) != det:
         raise RuntimeError(
             f"expected {det} base-pinned colorings, found {len(solutions)}"

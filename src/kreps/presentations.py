@@ -14,6 +14,7 @@ Matrix conventions:
   (``alexander_matrix``).  Free-word presentations and Fox calculus
   (``fox_matrix``) are the oracle that the tests and ``kreps verify``
   check it against.
+* Reports read everything at t = -1 from one reduction, ``coloring_form``.
 * The closure diagram of a braid has one arc per maximal over-segment;
   arcs are numbered 1..m.  At a crossing the over arc j transforms the
   incoming under arc i into the outgoing under arc k, and the crossing
@@ -35,7 +36,7 @@ from .braids import (
     braids_commute,
     closure_component_count,
 )
-from .intlinalg import IntMatrix, determinantal_divisor
+from .intlinalg import IntMatrix, SNFResult, smith_normal_form
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -300,22 +301,26 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
     return normalize_unit(exact_div(numerator, denominator))
 
 
-def elementary_ideal_data(m: LaurentMatrix) -> tuple[LaurentPoly, int]:
-    """First-ideal data of a presentation matrix with m >= 1 columns.
-
-    Returns the normalized gcd of all (cols-1)-minors (1 if cols == 1,
-    0 when there are too few rows or every minor vanishes) and the
-    nonnegative integer generated by the minor values at t = -1, taken
-    from the Smith normal form of the evaluated matrix.
-    """
-    cols = m.cols
-    if cols < 1:
+def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
+    """Normalized gcd of all (cols-1)-minors of a matrix with m >= 1 columns:
+    1 if cols == 1, 0 when there are too few rows or every minor vanishes."""
+    if m.cols < 1:
         raise ValueError("the matrix needs at least one column")
-    if cols == 1:
-        return LaurentPoly.one(), 1
-    if m.rows < cols - 1:
-        return LaurentPoly.zero(), 0
-    poly = laurent_minor_gcd(m, cols - 1)
-    at_minus_one = IntMatrix.from_rows(m.evaluate(-1), cols=cols)
-    det = determinantal_divisor(at_minus_one, cols - 1)
-    return poly, det
+    return laurent_minor_gcd(m, m.cols - 1)
+
+
+def coloring_form(m: LaurentMatrix) -> SNFResult:
+    """Smith normal form of M(-1) with the base (last) column deleted, from
+    which reports read the determinant, coloring counts and classes.
+
+    * The rows of M sum to zero, so each (cols-1)-minor equals, up to
+      sign, the one on the same rows that avoids the base column: the top
+      divisor ``determinantal_divisor(form, form.cols)`` is the determinant.
+    * Every coloring is a base-pinned coloring plus a constant, so the
+      form's solutions modulo r are the condition-O colorings with the base
+      dropped, and the total count is r times theirs.
+    """
+    if m.cols < 1:
+        raise ValueError("the matrix needs at least one column")
+    at_minus_one = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
+    return smith_normal_form(at_minus_one.column_deleted(m.cols - 1))

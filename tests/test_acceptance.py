@@ -44,11 +44,12 @@ from kreps.metabelian import (
 )
 from kreps.presentations import (
     alexander_matrix,
+    alexander_poly,
     burau_alexander,
     closure_diagram,
     closure_presentation,
+    coloring_form,
     coloring_matrix,
-    elementary_ideal_data,
     torus_covering_presentation,
 )
 
@@ -73,17 +74,25 @@ def family_pair(n, p, m):
     return prime_twist_family(n, p, (1,) * (n - 1), None, m)
 
 
-def family_matrix(n, p, m):
+def family_form(n, p, m):
     c, b = family_pair(n, p, m)
-    return c, b, alexander_matrix(c, b)
+    return c, b, coloring_form(alexander_matrix(c, b))
+
+
+def determinant(form):
+    return determinantal_divisor(form, form.cols)
+
+
+def full_snf(matrix):
+    return smith_normal_form(IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols))
 
 
 def test_criterion_1_family_counts():
     for n, p, m, expected_reps, expected_colorings in FAMILY_CASES:
         start = time.monotonic()
-        c, b, matrix = family_matrix(n, p, m)
-        _, det = elementary_ideal_data(matrix)
-        classes = enumerate_rep_classes(matrix)
+        c, b, form = family_form(n, p, m)
+        det = determinant(form)
+        classes = enumerate_rep_classes(form)
         assert count_irreducible_metabelian(det) == expected_reps, (n, p, m)
         assert len(classes) == expected_reps, (n, p, m)
         assert expected_reps == (p ** (n - 1) - 1) // 2
@@ -97,10 +106,10 @@ def test_criterion_1_family_counts():
 def test_criterion_2_classical_sanity():
     for name, text, strands, expected_det, expected_classes in CLASSICAL_CASES:
         a = parse_braid(text, strands)
-        matrix = alexander_matrix(a)
-        _, det = elementary_ideal_data(matrix)
+        form = coloring_form(alexander_matrix(a))
+        det = determinant(form)
         assert det == expected_det, name
-        classes = enumerate_rep_classes(matrix)
+        classes = enumerate_rep_classes(form)
         assert len(classes) == expected_classes, name
         # brute-force coloring oracle: base-fixed colorings modulo det
         # number exactly det, and only the trivial one exists at primes
@@ -118,16 +127,16 @@ def test_criterion_2_classical_sanity():
 def test_criterion_3_determinant_colorability_rule():
     exercised = 0
     for n, p, m, expected_reps, _ in FAMILY_CASES:
-        c, b, matrix = family_matrix(n, p, m)
-        _, surface_det = elementary_ideal_data(matrix)
-        _, base_det = elementary_ideal_data(alexander_matrix(c))
+        c, b, form = family_form(n, p, m)
+        surface_det = determinant(form)
+        base_det = determinant(coloring_form(alexander_matrix(c)))
         assert base_det == p ** (n - 1), (n, p, m)
         assert surface_det == base_det, (n, p, m)
         assert expected_reps == (base_det - 1) // 2, (n, p, m)
-        hypothesis = is_p_colorable(matrix, base_det)
+        hypothesis = is_p_colorable(form, base_det)
         if hypothesis:
             exercised += 1
-            assert len(enumerate_rep_classes(matrix)) == (base_det - 1) // 2
+            assert len(enumerate_rep_classes(form)) == (base_det - 1) // 2
         if n == 2:
             # prime determinant: the colorability hypothesis genuinely holds
             assert hypothesis, (n, p, m)
@@ -136,7 +145,7 @@ def test_criterion_3_determinant_colorability_rule():
             # colors differing by multiples of 3 (granny-knot phenomenon), so
             # the determinant-colorability hypothesis is vacuous here while
             # the count conclusion still holds
-            assert is_p_colorable(matrix, p)
+            assert is_p_colorable(form, p)
             assert not hypothesis, (n, p, m)
     assert exercised == 3
     print(
@@ -157,14 +166,14 @@ def test_criterion_3_determinant_colorability_rule():
 )
 def test_criterion_3_literal_blanket_colorability():
     for n, p, m, _, _ in FAMILY_CASES:
-        _, _, matrix = family_matrix(n, p, m)
-        assert is_p_colorable(matrix, p ** (n - 1)), (n, p, m)
+        _, _, form = family_form(n, p, m)
+        assert is_p_colorable(form, p ** (n - 1)), (n, p, m)
 
 
 def test_criterion_4_only_p_colorability_rule():
     for n, p, m, expected_reps, expected_colorings in FAMILY_CASES:
-        c, b, matrix = family_matrix(n, p, m)
-        profile = colorability_profile(matrix, 4 * p)
+        c, b, form = family_form(n, p, m)
+        profile = colorability_profile(form, 4 * p)
         base_count = p ** (n - 1)
         for r, cond in profile:
             assert cond in (1, base_count), (n, p, m, r, cond)
@@ -181,23 +190,23 @@ def test_criterion_5_oracle_equivalence_sweep():
     for trial in range(100):
         a = random_knot_braid(rng, 4, 8)
         pres_matrix = alexander_matrix(a)
-        poly, det = elementary_ideal_data(pres_matrix)
+        form = coloring_form(pres_matrix)
+        poly, det = alexander_poly(pres_matrix), determinant(form)
         oracle = burau_alexander(a)
         assert normalize_unit(poly) == oracle, f"trial {trial}: {a}"
         assert det == abs(oracle.evaluate(-1)), f"trial {trial}: {a}"
 
         diagram = closure_diagram(a)
         diag_matrix = coloring_matrix(diagram)
-        pres_int = IntMatrix.from_rows(pres_matrix.evaluate(-1), cols=pres_matrix.cols)
-        diag_int = IntMatrix.from_rows(diag_matrix.evaluate(-1), cols=diag_matrix.cols)
+        pres_snf, diag_snf = full_snf(pres_matrix), full_snf(diag_matrix)
         for back in range(1, min(pres_matrix.cols, diag_matrix.cols) + 1):
-            lhs = determinantal_divisor(pres_int, pres_matrix.cols - back)
-            rhs = determinantal_divisor(diag_int, diag_matrix.cols - back)
+            lhs = determinantal_divisor(pres_snf, pres_matrix.cols - back)
+            rhs = determinantal_divisor(diag_snf, diag_matrix.cols - back)
             assert lhs == rhs, f"trial {trial}: {a} depth {back}"
 
         identity = BraidWord.identity(a.strands)
         for r in range(2, 8):
-            algebraic = coloring_census(pres_matrix, r)
+            algebraic = coloring_census(form, r)
             transported = surface_coloring_census(a, identity, r)
             brute = diagram_census_brute(diagram, r)
             assert (
@@ -216,14 +225,14 @@ def test_criterion_6_representation_validity():
     # free-word relators of the independent presentation
     cases = []
     for n, p, m, _, _ in FAMILY_CASES:
-        c, b, matrix = family_matrix(n, p, m)
-        cases.append((matrix, torus_covering_presentation(c, b)))
+        c, b, form = family_form(n, p, m)
+        cases.append((form, torus_covering_presentation(c, b)))
     for _, text, strands, _, _ in CLASSICAL_CASES:
         a = parse_braid(text, strands)
-        cases.append((alexander_matrix(a), closure_presentation(a)))
-    for matrix, pres in cases:
-        _, det = elementary_ideal_data(matrix)
-        classes = enumerate_rep_classes(matrix)
+        cases.append((coloring_form(alexander_matrix(a)), closure_presentation(a)))
+    for form, pres in cases:
+        det = determinant(form)
+        classes = enumerate_rep_classes(form)
         assert len(classes) == (det - 1) // 2
         for rc in classes:
             assert verify_representation(pres, rc.assignment)
@@ -250,7 +259,7 @@ def test_criterion_7_integer_linear_algebra_battery():
         for i in range(snf.rank - 1):
             assert snf.divisors[i + 1] % snf.divisors[i] == 0, f"trial {trial}"
         for k in range(min(rows, cols) + 1):
-            assert determinantal_divisor(a, k) == minor_gcd(a, k), f"trial {trial}"
+            assert determinantal_divisor(snf, k) == minor_gcd(a, k), f"trial {trial}"
 
         moduli = range(2, 13) if cols <= 3 else (rng.randint(2, 12),)
         for r in moduli:
@@ -260,8 +269,8 @@ def test_criterion_7_integer_linear_algebra_battery():
                 for x in product(range(r), repeat=cols)
                 if all(v % r == 0 for v in a.apply(list(x)))
             ]
-            assert solution_count_mod(a, r) == len(brute), f"trial {trial} mod {r}"
-            assert sorted(enumerate_solutions_mod(a, r)) == sorted(brute), (
+            assert solution_count_mod(snf, r) == len(brute), f"trial {trial} mod {r}"
+            assert sorted(enumerate_solutions_mod(snf, r)) == sorted(brute), (
                 f"trial {trial} mod {r}"
             )
     assert exhaustive_checked >= 500
@@ -276,6 +285,6 @@ def test_criterion_8_surface_determinant_parity():
     for trial in range(50):
         a = random_knot_braid(rng, 4, 8)
         b = full_twist(a.strands) ** rng.randint(0, 3)
-        _, det = elementary_ideal_data(alexander_matrix(a, b))
+        det = determinant(coloring_form(alexander_matrix(a, b)))
         assert det % 2 == 1, f"trial {trial}: {a} with twist {b}"
     print("ACCEPTANCE 8 (surface determinants are odd on 50 twisted pairs): PASS")

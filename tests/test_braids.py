@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kreps.braids import (
+    MAX_BRAID_LETTERS,
     BraidWord,
     FreeWord,
     Permutation,
@@ -56,6 +57,15 @@ def test_parse_rejects_bad_tokens():
         parse_braid("1^-2", 2)
     with pytest.raises(ValueError):
         parse_braid("sigma", 2)
+
+
+def test_parse_bounds_run_expansion():
+    # the bound is checked before a run is expanded, so a huge exponent
+    # fails at once instead of allocating its letters
+    assert len(parse_braid(f"1^{MAX_BRAID_LETTERS}", 2).letters) == MAX_BRAID_LETTERS
+    for text in ("1^1000000000", f"1 -1^{MAX_BRAID_LETTERS}", f"1^{MAX_BRAID_LETTERS} 1"):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_braid(text, 2)
 
 
 # -- closure permutation --------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 from kreps.cli import (
     EXIT_FAMILY_ASSERTION,
@@ -14,6 +15,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def patch_kreps_bindings(monkeypatch, original, replacement):
+    """Replace ``original`` at every kreps module binding that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "kreps" or name.startswith("kreps."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def run_json(capsys, *argv):
@@ -120,24 +130,43 @@ def test_family_signs_attached_dashes(capsys):
 
 
 def test_knot_report_never_builds_free_words(capsys, monkeypatch):
-    import sys
-
     import kreps.presentations as presentations
 
     argv = ("knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json")
     code, expected, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    retired = (presentations.closure_presentation, presentations.fox_derivative_abelianized)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a knot report reached the free-word route")
 
-    for name, module in list(sys.modules.items()):
-        if name == "kreps" or name.startswith("kreps."):
-            for attr, value in list(vars(module).items()):
-                if any(value is fn for fn in retired):
-                    monkeypatch.setattr(module, attr, refuse)
+    for retired in (presentations.closure_presentation, presentations.fox_derivative_abelianized):
+        patch_kreps_bindings(monkeypatch, retired, refuse)
     assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
+
+
+def test_reports_reduce_each_matrix_once(capsys, monkeypatch):
+    import kreps.intlinalg as intlinalg
+
+    original = intlinalg.smith_normal_form
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # the figure-eight knot has one matrix; the family surface has its own
+    # and its base knot's
+    for argv, expected_calls in (
+        (("knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json"), 1),
+        (("family", "3", "3", "1"), 2),
+    ):
+        code, expected, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        with monkeypatch.context() as patch:
+            patch_kreps_bindings(patch, original, counted)
+            calls.clear()
+            assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
+        assert len(calls) == expected_calls, argv
 
 
 def test_exit_code_family_assertion(capsys, monkeypatch):
@@ -157,6 +186,12 @@ def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "knot", "9", "-n", "2", "--json")
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+def test_huge_run_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "knot", "1^1000000000", "-n", "2", "--json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error:") and "exceeds" in err
 
 
 def test_exit_code_not_a_knot(capsys):

@@ -25,6 +25,10 @@ def random_matrix(rng, max_dim=4, bound=9):
     )
 
 
+def snf_of(rows, cols=None):
+    return smith_normal_form(IntMatrix.from_rows(rows, cols=cols))
+
+
 def brute_solutions(a, r):
     out = []
     for x in product(range(r), repeat=a.cols):
@@ -46,6 +50,7 @@ def check_snf(a):
         assert snf.divisors[i + 1] % snf.divisors[i] == 0
     assert abs(int_det(snf.P)) == 1
     assert abs(int_det(snf.Q)) == 1
+    assert snf.cols == a.cols
     return snf
 
 
@@ -69,11 +74,13 @@ def test_snf_is_deterministic():
 
 
 def test_determinantal_divisor_examples():
-    assert determinantal_divisor(IntMatrix.from_rows([[2, 0], [0, 3]]), 2) == 6
-    assert determinantal_divisor(IntMatrix.from_rows([[2, 0], [0, 4]]), 1) == 2
-    assert determinantal_divisor(IntMatrix.from_rows([[2, 0], [0, 4]]), 0) == 1
+    assert determinantal_divisor(snf_of([[2, 0], [0, 3]]), 2) == 6
+    assert determinantal_divisor(snf_of([[2, 0], [0, 4]]), 1) == 2
+    assert determinantal_divisor(snf_of([[2, 0], [0, 4]]), 0) == 1
+    # more columns than rows: there are no 2-minors, so their gcd is 0
+    assert determinantal_divisor(snf_of([[1, 0, 0]]), 2) == 0
     with pytest.raises(ValueError):
-        determinantal_divisor(IntMatrix.from_rows([[1]]), 2)
+        determinantal_divisor(snf_of([[1]]), 2)
 
 
 def test_divisors_match_brute_minors():
@@ -81,33 +88,33 @@ def test_divisors_match_brute_minors():
     for _ in range(100):
         a = random_matrix(rng, 3, 6)
         for k in range(min(a.rows, a.cols) + 1):
-            assert determinantal_divisor(a, k) == minor_gcd(a, k)
+            assert determinantal_divisor(smith_normal_form(a), k) == minor_gcd(a, k)
 
 
 def test_solution_count_examples():
-    assert solution_count_mod(IntMatrix.from_rows([[3]]), 3) == 3
-    assert solution_count_mod(IntMatrix.from_rows([[0, 0]]), 5) == 25
-    assert solution_count_mod(IntMatrix.from_rows([[1, 0], [0, 1]]), 7) == 1
+    assert solution_count_mod(snf_of([[3]]), 3) == 3
+    assert solution_count_mod(snf_of([[0, 0]]), 5) == 25
+    assert solution_count_mod(snf_of([[1, 0], [0, 1]]), 7) == 1
     with pytest.raises(ValueError):
-        solution_count_mod(IntMatrix.from_rows([[1]]), 1)
+        solution_count_mod(snf_of([[1]]), 1)
 
 
 def test_enumeration_examples():
-    assert sorted(enumerate_solutions_mod(IntMatrix.from_rows([[3]]), 3)) == [(0,), (1,), (2,)]
-    assert sorted(enumerate_solutions_mod(IntMatrix.from_rows([[2]]), 4)) == [(0,), (2,)]
-    sols = enumerate_solutions_mod(IntMatrix.from_rows([[1, 2], [2, 4]]), 6)
+    assert sorted(enumerate_solutions_mod(snf_of([[3]]), 3)) == [(0,), (1,), (2,)]
+    assert sorted(enumerate_solutions_mod(snf_of([[2]]), 4)) == [(0,), (2,)]
+    sols = enumerate_solutions_mod(snf_of([[1, 2], [2, 4]]), 6)
     assert (0, 0) in sols
-    assert len(sols) == len(set(sols)) == solution_count_mod(IntMatrix.from_rows([[1, 2], [2, 4]]), 6)
+    assert len(sols) == len(set(sols)) == solution_count_mod(snf_of([[1, 2], [2, 4]]), 6)
 
 
 def test_enumeration_cap():
-    zero = IntMatrix.from_rows([[0, 0, 0, 0]], cols=4)
+    zero = snf_of([[0, 0, 0, 0]], cols=4)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_solutions_mod(zero, 100, cap=10)
 
 
 def test_enumeration_cap_env(monkeypatch):
-    zero = IntMatrix.from_rows([[0, 0]], cols=2)
+    zero = snf_of([[0, 0]], cols=2)
     monkeypatch.setenv("KREPS_ENUM_CAP", "3")
     with pytest.raises(EnumerationCapExceeded):
         enumerate_solutions_mod(zero, 2)
@@ -121,8 +128,9 @@ def test_random_battery_counts_and_enumeration():
         a = random_matrix(rng, 3, 9)
         r = rng.randint(2, 12)
         brute = brute_solutions(a, r)
-        assert solution_count_mod(a, r) == len(brute)
-        assert sorted(enumerate_solutions_mod(a, r)) == sorted(brute)
+        snf = smith_normal_form(a)
+        assert solution_count_mod(snf, r) == len(brute)
+        assert sorted(enumerate_solutions_mod(snf, r)) == sorted(brute)
 
 
 def test_random_battery_snf():
@@ -162,4 +170,4 @@ def test_divisor_products_from_snf():
     a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     snf = check_snf(a)
     for k in range(1, snf.rank + 1):
-        assert determinantal_divisor(a, k) == prod(snf.divisors[:k])
+        assert determinantal_divisor(snf, k) == prod(snf.divisors[:k])

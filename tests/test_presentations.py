@@ -3,18 +3,19 @@ import random
 import pytest
 
 from kreps.braids import BraidWord, FreeWord, full_twist, parse_braid, random_knot_braid
-from kreps.intlinalg import IntMatrix, determinantal_divisor
+from kreps.intlinalg import IntMatrix, determinantal_divisor, smith_normal_form, solution_count_mod
 from kreps.laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd, normalize_unit
 from kreps.presentations import (
     ClosureDiagram,
     Crossing,
     Presentation,
     alexander_matrix,
+    alexander_poly,
     burau_alexander,
     closure_diagram,
     closure_presentation,
+    coloring_form,
     coloring_matrix,
-    elementary_ideal_data,
     fox_derivative_abelianized,
     fox_matrix,
     torus_covering_presentation,
@@ -27,6 +28,15 @@ GRANNY = parse_braid("1^3 2^3", 3)
 
 TREFOIL_POLY = LaurentPoly({0: 1, 1: -1, 2: 1})
 FIGURE_EIGHT_POLY = LaurentPoly({0: 1, 1: -3, 2: 1})
+
+
+def determinant(m):
+    form = coloring_form(m)
+    return determinantal_divisor(form, form.cols)
+
+
+def full_snf(m):
+    return smith_normal_form(IntMatrix.from_rows(m.evaluate(-1), cols=m.cols))
 
 
 # -- presentations -----------------------------------------------------------
@@ -82,8 +92,8 @@ def test_torus_presentation_with_identity_matches_closure():
         a = random_knot_braid(rng, 4, 8)
         closure = closure_presentation(a)
         spun = torus_covering_presentation(a, BraidWord.identity(a.strands))
-        _, det_closure = elementary_ideal_data(fox_matrix(closure))
-        _, det_spun = elementary_ideal_data(fox_matrix(spun))
+        det_closure = determinant(fox_matrix(closure))
+        det_spun = determinant(fox_matrix(spun))
         assert det_closure == det_spun
 
 
@@ -120,14 +130,13 @@ def test_fox_derivative_inverse_letter():
 def test_unknot_matrix_is_empty():
     matrix = alexander_matrix(BraidWord.identity(1))
     assert matrix.rows == 0 and matrix.cols == 1
-    assert elementary_ideal_data(matrix) == (LaurentPoly.one(), 1)
+    assert (alexander_poly(matrix), determinant(matrix)) == (LaurentPoly.one(), 1)
 
 
 def test_trefoil_ideal_data():
     matrix = alexander_matrix(TREFOIL)
-    poly, det = elementary_ideal_data(matrix)
-    assert poly == TREFOIL_POLY
-    assert det == 3
+    assert alexander_poly(matrix) == TREFOIL_POLY
+    assert determinant(matrix) == 3
     assert matrix.evaluate(-1) == [[-3, 3], [-3, 3]]
 
 
@@ -161,6 +170,22 @@ def test_burau_built_matrix_equals_fox_matrix():
             assert alexander_matrix(a, b) == expected, f"pair {a} / {b}"
 
 
+def test_coloring_form_matches_full_matrix():
+    # the one reduction reports read against the whole of M(-1)
+    rng = random.Random(40)
+    matrices = [alexander_matrix(random_knot_braid(rng, 6, 12)) for _ in range(200)]
+    for _ in range(40):
+        a = random_knot_braid(rng, 4, 6)
+        for b in [full_twist(a.strands) ** k for k in (-1, 1, 2)] + [a**2]:
+            matrices.append(alexander_matrix(a, b))
+    for m in matrices:
+        form, full = coloring_form(m), full_snf(m)
+        assert form.cols == m.cols - 1
+        assert determinantal_divisor(form, m.cols - 1) == determinantal_divisor(full, m.cols - 1)
+        for r in range(2, 21):
+            assert r * solution_count_mod(form, r) == solution_count_mod(full, r), (m, r)
+
+
 def test_burau_built_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         alexander_matrix()
@@ -171,9 +196,12 @@ def test_burau_built_matrix_rejects_bad_input():
 def test_ideal_data_edge_cases():
     zero = LaurentPoly.zero()
     too_few = LaurentMatrix.from_rows([[LaurentPoly.one(), zero, zero]], cols=3)
-    assert elementary_ideal_data(too_few) == (zero, 0)
+    assert (alexander_poly(too_few), determinant(too_few)) == (zero, 0)
     single = LaurentMatrix(0, 1, ())
-    assert elementary_ideal_data(single) == (LaurentPoly.one(), 1)
+    assert (alexander_poly(single), determinant(single)) == (LaurentPoly.one(), 1)
+    for route in (alexander_poly, coloring_form):
+        with pytest.raises(ValueError):
+            route(LaurentMatrix(0, 0, ()))
 
 
 # -- closure diagrams ----------------------------------------------------------
@@ -232,8 +260,7 @@ def test_coloring_matrix_degenerate_rows():
 def test_trefoil_coloring_matrix_divisor():
     d = closure_diagram(TREFOIL)
     matrix = coloring_matrix(d)
-    at = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
-    assert determinantal_divisor(at, matrix.cols - 1) == 3
+    assert determinantal_divisor(full_snf(matrix), matrix.cols - 1) == 3
 
 
 def test_coloring_matrix_ideal_matches_alexander_polynomial():
@@ -259,9 +286,8 @@ def test_torus_knot_closed_forms():
     t34 = parse_braid("1 2 1 2 1 2 1 2", 3)
     expected = LaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1})
     assert burau_alexander(t34) == expected
-    poly, det = elementary_ideal_data(alexander_matrix(t34))
-    assert poly == expected
-    assert det == 3
+    assert alexander_poly(alexander_matrix(t34)) == expected
+    assert determinant(alexander_matrix(t34)) == 3
 
     t27 = parse_braid("1^7", 2)
     assert burau_alexander(t27) == LaurentPoly(
@@ -279,7 +305,7 @@ def test_burau_matches_fox_route():
     for _ in range(40):
         a = random_knot_braid(rng, 4, 8)
         matrix = fox_matrix(closure_presentation(a))
-        poly, det = elementary_ideal_data(matrix)
+        poly, det = alexander_poly(matrix), determinant(matrix)
         oracle = burau_alexander(a)
         assert normalize_unit(poly) == oracle, f"braid {a}"
         assert det == abs(oracle.evaluate(-1))
@@ -295,18 +321,16 @@ def test_classical_determinants():
         (CINQUEFOIL, 5),
         (GRANNY, 9),
     ):
-        _, det = elementary_ideal_data(alexander_matrix(braid))
+        det = determinant(alexander_matrix(braid))
         assert det == expected_det
 
 
 def test_surface_determinants():
     a, b = TREFOIL, parse_braid("1^6", 2)
-    _, det = elementary_ideal_data(alexander_matrix(a, b))
-    assert det == 3
+    assert determinant(alexander_matrix(a, b)) == 3
 
     c, tau2 = GRANNY, full_twist(3) ** 2
-    _, det9 = elementary_ideal_data(alexander_matrix(c, tau2))
-    assert det9 == 9
+    assert determinant(alexander_matrix(c, tau2)) == 9
 
 
 def test_surface_determinant_is_odd():
@@ -314,8 +338,7 @@ def test_surface_determinant_is_odd():
     for _ in range(20):
         a = random_knot_braid(rng, 4, 8)
         b = full_twist(a.strands) ** rng.randint(0, 2)
-        _, det = elementary_ideal_data(alexander_matrix(a, b))
-        assert det % 2 == 1
+        assert determinant(alexander_matrix(a, b)) % 2 == 1
 
 
 def test_diagram_vs_presentation_divisors():
@@ -324,9 +347,8 @@ def test_diagram_vs_presentation_divisors():
         a = random_knot_braid(rng, 4, 8)
         pres_matrix = alexander_matrix(a)
         diag_matrix = coloring_matrix(closure_diagram(a))
-        pres_int = IntMatrix.from_rows(pres_matrix.evaluate(-1), cols=pres_matrix.cols)
-        diag_int = IntMatrix.from_rows(diag_matrix.evaluate(-1), cols=diag_matrix.cols)
+        pres_snf, diag_snf = full_snf(pres_matrix), full_snf(diag_matrix)
         for back in range(1, min(pres_matrix.cols, diag_matrix.cols) + 1):
             assert determinantal_divisor(
-                pres_int, pres_matrix.cols - back
-            ) == determinantal_divisor(diag_int, diag_matrix.cols - back)
+                pres_snf, pres_matrix.cols - back
+            ) == determinantal_divisor(diag_snf, diag_matrix.cols - back)
