@@ -78,6 +78,7 @@ from .presentations import (
     coloring_matrix,
     fox_derivative_abelianized,
     fox_matrix,
+    knot_poly,
     torus_covering_presentation,
 )
 

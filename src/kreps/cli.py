@@ -16,6 +16,7 @@ found a mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -46,7 +47,7 @@ from .intlinalg import (
     smith_normal_form,
     solution_count_mod,
 )
-from .laurent import poly_str
+from .laurent import laurent_minor_gcd, poly_str
 from .metabelian import count_irreducible_metabelian, enumerate_rep_classes
 from .presentations import (
     alexander_matrix,
@@ -57,6 +58,7 @@ from .presentations import (
     coloring_form,
     coloring_matrix,
     fox_matrix,
+    knot_poly,
     torus_covering_presentation,
 )
 
@@ -108,7 +110,7 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
         raise PipelineError("the closure of the braid is not a knot", EXIT_NOT_A_KNOT)
     matrix = alexander_matrix(a)
     form = coloring_form(matrix)
-    poly = alexander_poly(matrix)
+    poly = knot_poly(matrix)
     det = determinantal_divisor(form, form.cols)
     oracle = burau_alexander(a)
     fox_normal = poly_str(poly)
@@ -256,11 +258,16 @@ def _braid_mismatch(a: BraidWord) -> str | None:
     if matrix != fox_matrix(closure_presentation(a)).without_zero_rows():
         return "burau-built matrix != fox matrix of the free-word presentation"
     form = coloring_form(matrix)
-    poly = alexander_poly(matrix)
+    poly = knot_poly(matrix)
     det = determinantal_divisor(form, form.cols)
-    oracle = burau_alexander(a)
-    if poly_str(poly) != poly_str(oracle):
-        return f"minor gcd {poly_str(poly)} != reduced burau {poly_str(oracle)}"
+    routes = {
+        "base-column gcd": alexander_poly(matrix),
+        "all-minors gcd": laurent_minor_gcd(matrix, matrix.cols - 1),
+        "reduced burau": burau_alexander(a),
+    }
+    for route, other in routes.items():
+        if other != poly:
+            return f"knot minor {poly_str(poly)} != {route} {poly_str(other)}"
     if det != abs(poly.evaluate(-1)):
         return f"determinant {det} != |poly(-1)|"
     full = smith_normal_form(IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols))
@@ -383,6 +390,9 @@ def verify_report(
             if matrix != fox_matrix(torus_covering_presentation(a, b)).without_zero_rows():
                 failure = f"burau-built and fox matrices differ for a={a}, twist power"
                 break
+            if alexander_poly(matrix) != laurent_minor_gcd(matrix, matrix.cols - 1):
+                failure = f"base-column and all-minors gcds differ for a={a}, twist power"
+                break
             form = coloring_form(matrix)
             det = determinantal_divisor(form, form.cols)
             a_int = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
@@ -473,7 +483,10 @@ def _parse_perm(text: str | None) -> tuple[int, ...] | None:
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones, which
+    only read it."""
     parser = argparse.ArgumentParser(
         prog="kreps",
         description=(

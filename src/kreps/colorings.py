@@ -200,10 +200,10 @@ def diagram_census_brute(
 ) -> ColoringCensus:
     """Exhaustive census of arc colorings of a closure diagram.
 
-    Walks arcs in order, checking each crossing as soon as all three of
-    its arcs are colored; branches that already violate a crossing are
-    abandoned.  Intended as the naive oracle against the algebraic
-    routes.
+    Walks arcs in order, depth first on an explicit stack rather than by
+    recursion, checking each crossing as soon as all three of its arcs are
+    colored; branches that already violate a crossing are abandoned.
+    Intended as the naive oracle against the algebraic routes.
     """
     if r < 2:
         raise ValueError("modulus must be at least 2")
@@ -217,27 +217,29 @@ def diagram_census_brute(
     cond = 0
     nondeg = False
     colors = [0] * (m + 1)  # 1-based
-
-    def recurse(arc: int) -> None:
-        nonlocal total, cond, nondeg
+    next_value = [0] * (m + 1)  # the stack: next color to try at each arc
+    arc = 1
+    while arc >= 1:
         if arc > m:
             total += 1
             if colors[m] == 0:
                 cond += 1
                 if not nondeg and generated_subgroup(colors[1:], r) == 1:
                     nondeg = True
-            return
-        for value in range(r):
-            colors[arc] = value
-            ok = True
-            for c in checks_at[arc]:
-                if (2 * colors[c.over] - colors[c.under_in] - colors[c.under_out]) % r:
-                    ok = False
-                    break
-            if ok:
-                recurse(arc + 1)
-
-    recurse(1)
+            arc -= 1
+            continue
+        value = next_value[arc]
+        if value == r:
+            next_value[arc] = 0
+            arc -= 1
+            continue
+        next_value[arc] = value + 1
+        colors[arc] = value
+        for c in checks_at[arc]:
+            if (2 * colors[c.over] - colors[c.under_in] - colors[c.under_out]) % r:
+                break
+        else:
+            arc += 1
     return ColoringCensus(
         modulus=r,
         total=total,

@@ -15,6 +15,8 @@ Matrix conventions:
   (``fox_matrix``) are the oracle that the tests and ``kreps verify``
   check it against.
 * Reports read everything at t = -1 from one reduction, ``coloring_form``.
+* A knot's polynomial is one minor (``knot_poly``); a surface's is the
+  gcd of the minors that avoid the base column (``alexander_poly``).
 * The closure diagram of a braid has one arc per maximal over-segment;
   arcs are numbered 1..m.  At a crossing the over arc j transforms the
   incoming under arc i into the outgoing under arc k, and the crossing
@@ -256,29 +258,6 @@ def coloring_matrix(d: ClosureDiagram) -> LaurentMatrix:
     return LaurentMatrix(len(d.crossings), d.arc_count, tuple(rows))
 
 
-def _reduced_burau_letter(letter: int, n: int) -> LaurentMatrix:
-    size = n - 1
-    k = abs(letter) - 1
-    t = LaurentPoly.t()
-    grid = [
-        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(size)]
-        for i in range(size)
-    ]
-    if letter > 0:
-        grid[k][k] = LaurentPoly.term(-1, 1)
-        if k > 0:
-            grid[k - 1][k] = t
-        if k + 1 < size:
-            grid[k + 1][k] = LaurentPoly.one()
-    else:
-        grid[k][k] = LaurentPoly.term(-1, -1)
-        if k > 0:
-            grid[k - 1][k] = LaurentPoly.one()
-        if k + 1 < size:
-            grid[k + 1][k] = LaurentPoly.t(-1)
-    return LaurentMatrix(size, size, tuple(tuple(row) for row in grid))
-
-
 def burau_alexander(a: BraidWord) -> LaurentPoly:
     """Alexander polynomial of the knot closure via the reduced Burau
     matrix: det(I - B) * (1 - t) / (1 - t^n), normalized.
@@ -286,27 +265,72 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
     This route never touches free derivatives, so it serves as an
     independent check on the presentation route.  The division is exact
     whenever the closure is a knot; a non-exact division means a bug.
+
+    B starts at the identity, and each letter right-multiplies it by a
+    reduced Burau matrix that differs from the identity only in column k
+    (columns 0 and n are zero):
+
+        +k:  col_k <- -t col_k + t col_{k-1} + col_{k+1}
+        -k:  col_k <- -t^-1 col_k + col_{k-1} + t^-1 col_{k+1}
     """
     if closure_component_count(a) != 1:
         raise ValueError("the closure is not a knot")
     n = a.strands
     if n == 1:
         return LaurentPoly.one()
-    burau = LaurentMatrix.identity(n - 1)
+    size = n - 1
+    identity = LaurentMatrix.identity(size)
+    cols = [list(col) for col in identity.entries]  # B[i][k] = cols[k][i]
     for letter in a.letters:
-        burau = burau @ _reduced_burau_letter(letter, n)
-    char = laurent_det(LaurentMatrix.identity(n - 1) - burau)
+        k = abs(letter) - 1
+        left, right = (1, 0) if letter > 0 else (0, -1)
+        col = [(-x).shifted(left + right) for x in cols[k]]
+        if k > 0:
+            col = [c + x.shifted(left) for c, x in zip(col, cols[k - 1])]
+        if k + 1 < size:
+            col = [c + x.shifted(right) for c, x in zip(col, cols[k + 1])]
+        cols[k] = col
+    char = laurent_det(identity - LaurentMatrix.from_rows(zip(*cols), cols=size))
     numerator = char * (LaurentPoly.one() - LaurentPoly.t())
     denominator = LaurentPoly.one() - LaurentPoly.t(n)
     return normalize_unit(exact_div(numerator, denominator))
 
 
-def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
-    """Normalized gcd of all (cols-1)-minors of a matrix with m >= 1 columns:
-    1 if cols == 1, 0 when there are too few rows or every minor vanishes."""
+def knot_poly(m: LaurentMatrix) -> LaurentPoly:
+    """Normalized Alexander polynomial of a knot from its Alexander matrix
+    (``alexander_matrix`` of one braid): the minor on rows 0..cols-2 with
+    the base (last) column deleted, or 1 if cols == 1.  One minor is enough:
+
+    * The rows of M sum to zero, so every (cols-1)-minor equals, up to
+      sign, the one on the same rows that avoids the base column.
+    * The braid fixes x_1...x_n, so sum_i t^(i-1) (I - J(a))_i = 0.  The
+      coefficients are units, so any row is a ring combination of the
+      others, and any cols-1 rows span the row module.
+    * A knot's matrix has rank cols-1, so ``alexander_matrix`` dropped at
+      most one zero row, and the rows left still satisfy that relation.
+
+    Hence every minor that avoids the base column is an associate of Delta.
+    """
     if m.cols < 1:
         raise ValueError("the matrix needs at least one column")
-    return laurent_minor_gcd(m, m.cols - 1)
+    if m.rows < m.cols - 1:
+        raise ValueError("a knot's Alexander matrix has at least cols-1 rows")
+    base_free = range(m.cols - 1)
+    return normalize_unit(laurent_det(m.submatrix(base_free, base_free)))
+
+
+def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
+    """Normalized gcd of all (cols-1)-minors of a matrix with m >= 1 columns:
+    1 if cols == 1, 0 when there are too few rows or every minor vanishes.
+
+    The rows of M sum to zero, so each minor equals, up to sign, one on the
+    same rows that avoids the base (last) column; only those are taken, one
+    per row subset, with ``laurent_minor_gcd``'s early exit at a unit.
+    """
+    if m.cols < 1:
+        raise ValueError("the matrix needs at least one column")
+    base_free = range(m.cols - 1)
+    return laurent_minor_gcd(m.submatrix(range(m.rows), base_free), m.cols - 1)
 
 
 def coloring_form(m: LaurentMatrix) -> SNFResult:

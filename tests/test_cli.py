@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 from kreps.cli import (
     EXIT_FAMILY_ASSERTION,
@@ -169,6 +172,49 @@ def test_reports_reduce_each_matrix_once(capsys, monkeypatch):
         assert len(calls) == expected_calls, argv
 
 
+def test_knot_report_takes_one_minor(capsys, monkeypatch):
+    import kreps.laurent as laurent
+
+    argv = ("knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json")
+    code, expected, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    calls = {"laurent_det": 0, "poly_gcd": 0}
+
+    def counter(name):
+        original = getattr(laurent, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return original, counted
+
+    for name in calls:
+        patch_kreps_bindings(monkeypatch, *counter(name))
+    assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
+    # one minor for the polynomial, one determinant for the Burau oracle
+    assert calls == {"laurent_det": 2, "poly_gcd": 0}
+
+
+def test_parser_is_reused_across_calls(capsys):
+    import kreps
+    import kreps.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    code, _, err = run(capsys, "knot", "1^3", "--json")
+    assert code == EXIT_USAGE and "required" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == EXIT_OK and out.startswith("usage: kreps")
+    argv = ["knot", "1^3", "-n", "2", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=str(Path(kreps.__file__).parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "kreps", *argv], capture_output=True, text=True, env=env, check=True
+    )
+    assert out == fresh.stdout
+
+
 def test_exit_code_family_assertion(capsys, monkeypatch):
     import kreps.cli as cli
     from kreps.colorings import ColoringCensus
@@ -218,6 +264,21 @@ def test_verify_mismatch_path(capsys, monkeypatch):
     report = json.loads(out)
     assert not report["passed"]
     assert "synthetic mismatch" in report["failure"]
+
+
+def test_verify_checks_the_base_column_gcd(capsys, monkeypatch):
+    import kreps.cli as cli
+    from kreps.laurent import LaurentPoly
+
+    monkeypatch.setattr(cli, "alexander_poly", lambda m: LaurentPoly.zero())
+    code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
+    assert code == cli.EXIT_VERIFY_MISMATCH
+    assert "base-column gcd 0" in json.loads(out)["failure"]
+    # the twisted-pair sweep runs the same check on its own
+    monkeypatch.setattr(cli, "_braid_mismatch", lambda a: None)
+    code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
+    assert code == cli.EXIT_VERIFY_MISMATCH
+    assert "all-minors gcds differ" in json.loads(out)["failure"]
 
 
 def test_verify_deterministic(capsys):

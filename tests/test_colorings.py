@@ -286,6 +286,14 @@ def test_diagram_brute_force_census_agrees():
             assert brute.nondegenerate == alg.nondegenerate
 
 
+def test_diagram_brute_force_census_on_a_deep_diagram():
+    # 1501 arcs, deeper than the default recursion limit
+    a = parse_braid("1^1501", 2)
+    d = closure_diagram(a)
+    assert d.arc_count == 1501
+    assert diagram_census_brute(d, 3) == coloring_census(coloring_form(alexander_matrix(a)), 3)
+
+
 def test_census_dataclass_translation_invariant():
     census = ColoringCensus(modulus=3, total=9, nontrivial=6, nondegenerate=True, condition_o=3)
     assert census.total == census.modulus * census.condition_o

@@ -4,7 +4,14 @@ import pytest
 
 from kreps.braids import BraidWord, FreeWord, full_twist, parse_braid, random_knot_braid
 from kreps.intlinalg import IntMatrix, determinantal_divisor, smith_normal_form, solution_count_mod
-from kreps.laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd, normalize_unit
+from kreps.laurent import (
+    LaurentMatrix,
+    LaurentPoly,
+    exact_div,
+    laurent_det,
+    laurent_minor_gcd,
+    normalize_unit,
+)
 from kreps.presentations import (
     ClosureDiagram,
     Crossing,
@@ -18,6 +25,7 @@ from kreps.presentations import (
     coloring_matrix,
     fox_derivative_abelianized,
     fox_matrix,
+    knot_poly,
     torus_covering_presentation,
 )
 
@@ -186,6 +194,33 @@ def test_coloring_form_matches_full_matrix():
             assert r * solution_count_mod(form, r) == solution_count_mod(full, r), (m, r)
 
 
+def test_knot_minor_and_base_column_gcd_match_all_minors():
+    # the production routes against the all-minors oracle
+    rng = random.Random(41)
+    for _ in range(200):
+        a = random_knot_braid(rng, 7, 14)
+        m = alexander_matrix(a)
+        expected = laurent_minor_gcd(m, m.cols - 1)
+        assert knot_poly(m) == expected, f"braid {a}"
+        assert alexander_poly(m) == expected, f"braid {a}"
+    for _ in range(40):
+        a = random_knot_braid(rng, 5, 6)
+        twist = full_twist(a.strands)
+        for b in (twist ** -1, twist, twist**2, a**2, BraidWord.identity(a.strands)):
+            m = alexander_matrix(a, b)
+            assert alexander_poly(m) == laurent_minor_gcd(m, m.cols - 1), f"pair {a} / {b}"
+
+
+def test_knot_poly_edge_cases():
+    assert knot_poly(alexander_matrix(BraidWord.identity(1))) == LaurentPoly.one()
+    assert knot_poly(alexander_matrix(FIGURE_EIGHT)) == FIGURE_EIGHT_POLY
+    zero = LaurentPoly.zero()
+    too_few = LaurentMatrix.from_rows([[LaurentPoly.one(), zero, zero]], cols=3)
+    for bad in (too_few, LaurentMatrix(0, 0, ())):
+        with pytest.raises(ValueError):
+            knot_poly(bad)
+
+
 def test_burau_built_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         alexander_matrix()
@@ -298,6 +333,46 @@ def test_torus_knot_closed_forms():
 def test_burau_rejects_links():
     with pytest.raises(ValueError):
         burau_alexander(parse_braid("1^2", 2))
+
+
+def _reduced_burau_letter(letter, n):
+    size = n - 1
+    k = abs(letter) - 1
+    t = LaurentPoly.t()
+    grid = [
+        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(size)]
+        for i in range(size)
+    ]
+    if letter > 0:
+        grid[k][k] = LaurentPoly.term(-1, 1)
+        if k > 0:
+            grid[k - 1][k] = t
+        if k + 1 < size:
+            grid[k + 1][k] = LaurentPoly.one()
+    else:
+        grid[k][k] = LaurentPoly.term(-1, -1)
+        if k > 0:
+            grid[k - 1][k] = LaurentPoly.one()
+        if k + 1 < size:
+            grid[k + 1][k] = LaurentPoly.t(-1)
+    return LaurentMatrix(size, size, tuple(tuple(row) for row in grid))
+
+
+def _dense_burau_alexander(a):
+    n = a.strands
+    burau = LaurentMatrix.identity(n - 1)
+    for letter in a.letters:
+        burau = burau @ _reduced_burau_letter(letter, n)
+    char = laurent_det(LaurentMatrix.identity(n - 1) - burau)
+    numerator = char * (LaurentPoly.one() - LaurentPoly.t())
+    return normalize_unit(exact_div(numerator, LaurentPoly.one() - LaurentPoly.t(n)))
+
+
+def test_sparse_burau_matches_dense_product():
+    rng = random.Random(36)
+    for _ in range(100):
+        a = random_knot_braid(rng, 7, 14)
+        assert burau_alexander(a) == _dense_burau_alexander(a), f"braid {a}"
 
 
 def test_burau_matches_fox_route():
