@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 DEFAULT_ENUM_CAP = 10**6
@@ -267,10 +268,4 @@ def enumerate_solutions_mod(
     for _ in range(cols - snf.rank):
         ranges.append(range(r))
     qm = snf.Q.entries
-    out: list[tuple[int, ...]] = []
-    for xprime in product(*ranges):
-        x = tuple(
-            sum(qm[i][j] * xprime[j] for j in range(cols)) % r for i in range(cols)
-        )
-        out.append(x)
-    return out
+    return [tuple(sum(map(mul, row, xprime)) % r for row in qm) for xprime in product(*ranges)]

@@ -31,6 +31,14 @@ class LaurentPoly:
                     clean[int(exp)] = int(c)
         object.__setattr__(self, "_coeffs", clean)
 
+    @classmethod
+    def _of(cls, clean: dict[int, int]) -> "LaurentPoly":
+        """Wrap ``clean`` without copying it.  The caller guarantees that it
+        maps ints to nonzero ints and that nothing else keeps it."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "_coeffs", clean)
+        return f
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -83,22 +91,37 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            c = out.get(e, 0) + c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._of(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._of({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        out = dict(self._coeffs)
+        for e, c in other._coeffs.items():
+            c = out.get(e, 0) - c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._of(out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+                c = out.get(e, 0) + c1 * c2
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+        return LaurentPoly._of(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -114,7 +137,23 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly._of({e + k: c for e, c in self._coeffs.items()})
+
+    @staticmethod
+    def shifted_sum(*terms: tuple[int, int, "LaurentPoly"]) -> "LaurentPoly":
+        """The sum of sign * t^shift * f over the (sign, shift, f) terms,
+        with int signs, built in one map: the kernel of the per-letter
+        Burau rules."""
+        out: dict[int, int] = {}
+        for sign, shift, f in terms:
+            for e, c in f._coeffs.items():
+                e += shift
+                c = out.get(e, 0) + sign * c
+                if c:
+                    out[e] = c
+                else:
+                    out.pop(e, None)
+        return LaurentPoly._of(out)
 
     def evaluate(self, v: int) -> int:
         """Value at t = v, only for v in {1, -1} (so 1/t stays integral)."""
@@ -193,7 +232,7 @@ def _dense(f: LaurentPoly) -> tuple[int, list[int]]:
 
 
 def _from_dense(offset: int, cs: Sequence[int]) -> LaurentPoly:
-    return LaurentPoly({offset + i: c for i, c in enumerate(cs) if c})
+    return LaurentPoly._of({offset + i: c for i, c in enumerate(cs) if c})
 
 
 def _trim(cs: list[int]) -> list[int]:
@@ -367,23 +406,21 @@ def laurent_det(m: LaurentMatrix) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one()
     states: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
-    for i in range(n):
+    for row in m.entries:
+        picks = [(j + 1, 1 << j, entry) for j, entry in enumerate(row) if entry]
         nxt: dict[int, LaurentPoly] = {}
         for mask, acc in states.items():
-            for j in range(n):
-                bit = 1 << j
+            for above, bit, entry in picks:
                 if mask & bit:
                     continue
-                entry = m.entries[i][j]
-                if entry.is_zero:
-                    continue
-                # parity of inversions introduced by picking column j now
-                higher = bin(mask >> (j + 1)).count("1")
                 contrib = acc * entry
-                if higher % 2:
-                    contrib = -contrib
                 key = mask | bit
-                nxt[key] = nxt.get(key, LaurentPoly.zero()) + contrib
+                prev = nxt.get(key)
+                # parity of inversions introduced by picking this column now
+                if (mask >> above).bit_count() % 2:
+                    nxt[key] = -contrib if prev is None else prev - contrib
+                else:
+                    nxt[key] = contrib if prev is None else prev + contrib
         states = nxt
         if not states:
             return LaurentPoly.zero()

@@ -166,6 +166,7 @@ def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
         raise ValueError("one or more braids on the same number of strands are required")
     n = braids[0].strands
     identity = LaurentMatrix.identity(n)
+    shifted_sum = LaurentPoly.shifted_sum
     rows = []
     for word in braids:
         jac = [list(row) for row in identity.entries]
@@ -173,11 +174,11 @@ def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
             i = abs(letter) - 1
             top, bottom = jac[i], jac[i + 1]
             if letter > 0:
-                jac[i] = [x + (y - x).shifted(1) for x, y in zip(top, bottom)]
+                jac[i] = [shifted_sum((1, 0, x), (-1, 1, x), (1, 1, y)) for x, y in zip(top, bottom)]
                 jac[i + 1] = top
             else:
                 jac[i] = bottom
-                jac[i + 1] = [y + (x - y).shifted(-1) for x, y in zip(top, bottom)]
+                jac[i + 1] = [shifted_sum((1, 0, y), (1, -1, x), (-1, -1, y)) for x, y in zip(top, bottom)]
         rows.extend((identity - LaurentMatrix.from_rows(jac, cols=n)).without_zero_rows().entries)
     return LaurentMatrix.from_rows(rows, cols=n)
 
@@ -281,15 +282,17 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
     size = n - 1
     identity = LaurentMatrix.identity(size)
     cols = [list(col) for col in identity.entries]  # B[i][k] = cols[k][i]
+    zeros = [LaurentPoly.zero()] * size
+    shifted_sum = LaurentPoly.shifted_sum
     for letter in a.letters:
         k = abs(letter) - 1
         left, right = (1, 0) if letter > 0 else (0, -1)
-        col = [(-x).shifted(left + right) for x in cols[k]]
-        if k > 0:
-            col = [c + x.shifted(left) for c, x in zip(col, cols[k - 1])]
-        if k + 1 < size:
-            col = [c + x.shifted(right) for c, x in zip(col, cols[k + 1])]
-        cols[k] = col
+        lower = cols[k - 1] if k > 0 else zeros
+        upper = cols[k + 1] if k + 1 < size else zeros
+        cols[k] = [
+            shifted_sum((-1, left + right, x), (1, left, y), (1, right, z))
+            for x, y, z in zip(cols[k], lower, upper)
+        ]
     char = laurent_det(identity - LaurentMatrix.from_rows(zip(*cols), cols=size))
     numerator = char * (LaurentPoly.one() - LaurentPoly.t())
     denominator = LaurentPoly.one() - LaurentPoly.t(n)

@@ -1,6 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreps.laurent import (
     LaurentMatrix,
@@ -195,3 +198,90 @@ def test_minor_gcd():
     assert laurent_minor_gcd(diag, 1) == normalize_unit(one - t)
     assert laurent_minor_gcd(diag, 0) == one
     assert laurent_minor_gcd(diag, 3) == LaurentPoly.zero()
+
+
+# -- the kernel against a plain-dict reference -----------------------------
+#
+# Equality, hashing and poly_str all read the stored map, so every result
+# must also store no zero coefficient.
+
+coeff_maps = st.dictionaries(st.integers(-5, 5), st.integers(-4, 4), max_size=5)
+polys = coeff_maps.map(LaurentPoly)
+terms = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-3, 3), polys), max_size=4
+)
+
+
+def ref_clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def ref_shifted_sum(parts):
+    out = {}
+    for sign, shift, f in parts:
+        for e, c in f.items():
+            out[e + shift] = out.get(e + shift, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def stored(f):
+    coeffs = f.coeffs
+    assert all(type(e) is int and type(c) is int and c for e, c in coeffs.items())
+    return coeffs
+
+
+@settings(deadline=None)
+@given(coeff_maps)
+def test_constructor_coerces_and_drops_zeros(d):
+    f = LaurentPoly({float(e): float(c) for e, c in d.items()})
+    assert stored(f) == ref_clean(d)
+
+
+@settings(deadline=None)
+@given(polys, polys, st.integers(-4, 4))
+def test_ring_operations_match_dict_reference(f, g, k):
+    a, b = f.coeffs, g.coeffs
+    assert stored(f + g) == ref_shifted_sum([(1, 0, a), (1, 0, b)])
+    assert stored(f - g) == ref_shifted_sum([(1, 0, a), (-1, 0, b)])
+    assert stored(-f) == ref_shifted_sum([(-1, 0, a)])
+    assert stored(f * g) == ref_mul(a, b)
+    assert stored(f.shifted(k)) == ref_shifted_sum([(1, k, a)])
+    assert f - f == LaurentPoly.zero() and f + (-f) == LaurentPoly.zero()
+    round_trip = (f + g) - g
+    assert round_trip == f
+    assert hash(round_trip) == hash(f) and poly_str(round_trip) == poly_str(f)
+
+
+@settings(deadline=None)
+@given(terms)
+def test_shifted_sum_matches_dict_reference(parts):
+    expected = ref_shifted_sum([(s, k, f.coeffs) for s, k, f in parts])
+    assert stored(LaurentPoly.shifted_sum(*parts)) == expected
+
+
+def ref_det(grid):
+    n = len(grid)
+    total = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = {0: 1}
+        for i, j in enumerate(perm):
+            prod = ref_mul(prod, grid[i][j].coeffs)
+        total = ref_shifted_sum([(1, 0, total), (-1 if inversions % 2 else 1, 0, prod)])
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(polys, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_matches_permutation_sum(grid):
+    m = LaurentMatrix(len(grid), len(grid), tuple(tuple(row) for row in grid))
+    assert stored(laurent_det(m)) == ref_det(grid)
