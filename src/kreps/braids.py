@@ -226,14 +226,13 @@ class Permutation:
 
 def closure_permutation(a: BraidWord) -> Permutation:
     """Underlying permutation of the braid: starting slot to ending slot."""
-    image = list(range(a.strands))
+    start = list(range(a.strands))  # start[p]: where the strand now at slot p started
     for letter in a.letters:
         i = abs(letter) - 1
-        for s in range(a.strands):
-            if image[s] == i:
-                image[s] = i + 1
-            elif image[s] == i + 1:
-                image[s] = i
+        start[i], start[i + 1] = start[i + 1], start[i]
+    image = [0] * a.strands
+    for slot, s in enumerate(start):
+        image[s] = slot
     return Permutation(tuple(image))
 
 
@@ -340,9 +339,14 @@ def prime_twist_family(
     ``sign * p``; its closure is a connected sum of (2, +-p) torus knots.
     b is the full twist to the power l*m, where l is 2 for odd n and p
     for even n.  The full twist is central, so the pair always commutes.
+    Either word longer than MAX_BRAID_LETTERS is rejected before any is
+    built, as ``parse_braid`` rejects it.
     """
     if n < 2:
         raise ValueError("the family needs at least two strands")
+    l = 2 if n % 2 == 1 else p
+    if max((n - 1) * abs(p), n * (n - 1) * abs(l * m)) > MAX_BRAID_LETTERS:
+        raise ValueError(f"a braid word of the family exceeds {MAX_BRAID_LETTERS} letters")
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     signs = tuple(int(s) for s in signs)
@@ -358,6 +362,5 @@ def prime_twist_family(
     for sign, gen in zip(signs, order):
         letters.extend([sign * gen] * p)
     c = BraidWord(n, tuple(letters))
-    l = 2 if n % 2 == 1 else p
     b = full_twist(n) ** (l * m)
     return c, b

@@ -108,9 +108,8 @@ def _odd_prime_factors(n: int) -> list[int]:
 def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the braid is not a knot", EXIT_NOT_A_KNOT)
-    matrix = alexander_matrix(a)
-    form = coloring_form(matrix)
-    poly = knot_poly(matrix)
+    form = coloring_form(a)
+    poly = knot_poly(a)
     det = determinantal_divisor(form, form.cols)
     oracle = burau_alexander(a)
     fox_normal = poly_str(poly)
@@ -141,9 +140,8 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
         raise PipelineError("basis braids do not commute", EXIT_NOT_COMMUTING)
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the first braid is not a knot", EXIT_NOT_A_KNOT)
-    matrix = alexander_matrix(a, b)
-    form = coloring_form(matrix)
-    poly = alexander_poly(matrix)
+    form = coloring_form(a, b)
+    poly = alexander_poly(alexander_matrix(a, b))
     det = determinantal_divisor(form, form.cols)
     classes = enumerate_rep_classes(form)
     rep_count = count_irreducible_metabelian(det)
@@ -153,7 +151,7 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
     }
 
     # classical data of the first braid's closure, for the counting cross-checks
-    base_form = coloring_form(alexander_matrix(a))
+    base_form = coloring_form(a)
     base_det = determinantal_divisor(base_form, base_form.cols)
     checks["base_knot_determinant"] = str(base_det)
     if base_det >= 2 and is_p_colorable(form, base_det):
@@ -257,8 +255,8 @@ def _braid_mismatch(a: BraidWord) -> str | None:
     matrix = alexander_matrix(a)
     if matrix != fox_matrix(closure_presentation(a)).without_zero_rows():
         return "burau-built matrix != fox matrix of the free-word presentation"
-    form = coloring_form(matrix)
-    poly = knot_poly(matrix)
+    form = coloring_form(a)
+    poly = knot_poly(a)
     det = determinantal_divisor(form, form.cols)
     routes = {
         "base-column gcd": alexander_poly(matrix),
@@ -294,6 +292,26 @@ def _braid_mismatch(a: BraidWord) -> str | None:
                 f"transport {transported.total}/{transported.condition_o}, "
                 f"diagram {brute.total}/{brute.condition_o}"
             )
+    return None
+
+
+# knot words long enough that the packed Burau rules re-size their digits,
+# which the short random braids of the sweep never do
+_LONG_WORDS = (("1^101", 2), (" ".join(["1 -2"] * 61), 3), ("1^61 2 3 4 5", 6))
+
+
+def _long_word_mismatch(a: BraidWord) -> str | None:
+    """The packed routes against the all-minors gcd; returns a description
+    of the first failure, or None."""
+    matrix = alexander_matrix(a)
+    expected = laurent_minor_gcd(matrix, matrix.cols - 1)
+    for route, poly in (("knot minor", knot_poly(a)), ("reduced burau", burau_alexander(a))):
+        if poly != expected:
+            return f"{route} {poly_str(poly)} != all-minors gcd {poly_str(expected)}"
+    form = coloring_form(a)
+    det = determinantal_divisor(form, form.cols)
+    if det != abs(expected.evaluate(-1)):
+        return f"determinant {det} != |all-minors gcd(-1)|"
     return None
 
 
@@ -371,6 +389,13 @@ def verify_report(
             break
         braids_checked += 1
 
+    if failure is None:
+        for text, strands in _LONG_WORDS:
+            mismatch = _long_word_mismatch(parse_braid(text, strands))
+            if mismatch is not None:
+                failure = f"long braid {text} on {strands} strands: {mismatch}"
+                break
+
     matrices_checked = 0
     if failure is None:
         for _ in range(max(trials * 5, 100)):
@@ -393,7 +418,7 @@ def verify_report(
             if alexander_poly(matrix) != laurent_minor_gcd(matrix, matrix.cols - 1):
                 failure = f"base-column and all-minors gcds differ for a={a}, twist power"
                 break
-            form = coloring_form(matrix)
+            form = coloring_form(a, b)
             det = determinantal_divisor(form, form.cols)
             a_int = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
             if det != determinantal_divisor(smith_normal_form(a_int), matrix.cols - 1):

@@ -10,13 +10,14 @@ Matrix conventions:
   generator; entry (i, j) is the abelianized free derivative of relator
   i by generator j.  Row sums vanish identically because every relator
   has weighted exponent sum zero.
-* Production builds it from the braid by one Burau rule per letter
-  (``alexander_matrix``).  Free-word presentations and Fox calculus
-  (``fox_matrix``) are the oracle that the tests and ``kreps verify``
-  check it against.
+* ``alexander_matrix`` builds it from the braid by one Burau rule per
+  letter on Laurent polynomials.  Free-word presentations and Fox
+  calculus (``fox_matrix``) are the oracle that the tests and ``kreps
+  verify`` check it against.
+* A knot's polynomial is one minor (``knot_poly``), checked by the
+  reduced Burau route (``burau_alexander``); a surface's is the gcd of
+  the minors that avoid the base column (``alexander_poly``).
 * Reports read everything at t = -1 from one reduction, ``coloring_form``.
-* A knot's polynomial is one minor (``knot_poly``); a surface's is the
-  gcd of the minors that avoid the base column (``alexander_poly``).
 * The closure diagram of a braid has one arc per maximal over-segment;
   arcs are numbered 1..m.  At a crossing the over arc j transforms the
   incoming under arc i into the outgoing under arc k, and the crossing
@@ -24,11 +25,34 @@ Matrix conventions:
   "x" and "x_out" follow the crossing sign (positive: i is transformed
   into k; negative: the other way around).  At t = -1 both readings give
   the same row, 2*over - in - out.
+
+``knot_poly`` and ``burau_alexander`` run the Burau rules on packed
+integers (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009),
+not on Laurent polynomials, and ``coloring_form`` runs them at t = -1:
+
+* A vector of Laurent polynomials t^-p (f_1, ..., f_m), each f_j in Z[t],
+  is kept as the integers f_j(T) at T = 2^k, with its own power p, so
+  that t^-1 never needs a division, and a bound b on the sum of the l1
+  norms of the f_j.  Each letter is then a few integer additions and
+  shifts per entry.
+* Every coefficient of every f_j is below b in absolute value.  While b
+  < 2^(k-1), each value has one expansion in balanced base-T digits,
+  which gives the f_j back exactly.
+* The bounds follow the letter rules on absolute values, and the rules
+  keep them below 2^(k-2).  When a letter would break that, every vector
+  is unpacked, its bound is reset to its actual norm, and all are
+  repacked with k the bit length of the largest norm plus a fixed
+  headroom.  Without the re-sizing k would have to grow like L log2(3)
+  bits for a word of L letters, and every value with it.
+* A determinant of packed rows is one integer determinant, with the rows
+  first repacked if needed so that T/2 exceeds the product of their
+  bounds, which bounds every coefficient of the determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .braids import (
@@ -38,12 +62,11 @@ from .braids import (
     braids_commute,
     closure_component_count,
 )
-from .intlinalg import IntMatrix, SNFResult, smith_normal_form
+from .intlinalg import IntMatrix, SNFResult, int_det, smith_normal_form
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     exact_div,
-    laurent_det,
     laurent_minor_gcd,
     normalize_unit,
 )
@@ -259,6 +282,166 @@ def coloring_matrix(d: ClosureDiagram) -> LaurentMatrix:
     return LaurentMatrix(len(d.crossings), d.arc_count, tuple(rows))
 
 
+# -- packed-integer kernel ----------------------------------------------------
+
+_HEADROOM = 64  # bits above the largest norm after a re-size; a multiple of 8
+
+
+def _width(bound: int) -> int:
+    """The least digit width k, a multiple of 8, with bound < 2^(k-2)."""
+    return (bound.bit_length() + 9) // 8 * 8
+
+
+def _halves(count: int, k: int) -> int:
+    """The sum of 2^(k-1) T^e over e < count, for T = 2^k."""
+    return int.from_bytes((bytes(k // 8 - 1) + b"\x80") * count, "little")
+
+
+def _pack(cs: Sequence[int], k: int) -> int:
+    """f(2^k) for f = sum c_e t^e, every |c_e| < 2^(k-1).  Each c_e + 2^(k-1)
+    is one unsigned base-2^k digit."""
+    step, half = k // 8, 1 << (k - 1)
+    raw = b"".join((c + half).to_bytes(step, "little") for c in cs)
+    return int.from_bytes(raw, "little") - _halves(len(cs), k)
+
+
+def _unpack(v: int, k: int) -> list[int]:
+    """Coefficients c_0, c_1, ... (no trailing zeros) of the f in Z[t] with
+    f(2^k) = v and every |c_e| < 2^(k-1): the digits of v + sum 2^(k-1) T^e,
+    each minus 2^(k-1)."""
+    step, half = k // 8, 1 << (k - 1)
+    count = v.bit_length() // k + 2
+    raw = (v + _halves(count, k)).to_bytes(count * step, "little")
+    out = [int.from_bytes(raw[at : at + step], "little") - half for at in range(0, len(raw), step)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _to_poly(v: int, power: int, k: int) -> LaurentPoly:
+    """t^-power f for the f in Z[t] packed as v at 2^k."""
+    return LaurentPoly({e - power: c for e, c in enumerate(_unpack(v, k))})
+
+
+def _rewiden(vectors: list[list[int]], k: int) -> tuple[int, list[list[int]], list[int]]:
+    """Unpack vectors packed at 2^k and repack them with _HEADROOM bits
+    above the largest l1 norm: (new k, vectors, norms)."""
+    polys = [[_unpack(v, k) for v in vec] for vec in vectors]
+    norms = [sum(sum(map(abs, cs)) for cs in vec) for vec in polys]
+    k = _width(max(norms)) + _HEADROOM
+    return k, [[_pack(cs, k) for cs in vec] for vec in polys], norms
+
+
+def _identity(n: int) -> tuple[int, list[list[int]], list[int], list[int]]:
+    """The rows of the n x n identity, packed: (k, values, powers, bounds)."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return _width(1) + _HEADROOM, rows, [0] * n, [1] * n
+
+
+def _jacobian_rows(word: BraidWord) -> tuple[int, list[list[int]], list[int], list[int]]:
+    """Rows of J(word), packed: (k, values, powers, bounds).  The letter
+    rules of ``alexander_matrix`` on rows aligned to one power of t:
+
+        +i:  r_i <- r_i + T (r_{i+1} - r_i),  r_{i+1} <- r_i
+        -i:  r_i <- r_{i+1},  r_{i+1} <- r_i + (T - 1) r_{i+1}, power + 1
+
+    with the bounds (2 b_i + b_{i+1}, b_i) and (b_{i+1}, b_i + 2 b_{i+1}).
+    """
+    k, rows, powers, bounds = _identity(word.strands)
+    limit = 1 << (k - 2)
+    for letter in word.letters:
+        i = abs(letter) - 1
+        j = i + 1
+        if max(bounds[i], bounds[j]) * 3 >= limit:
+            k, rows, bounds = _rewiden(rows, k)
+            limit = 1 << (k - 2)
+        top, bottom = rows[i], rows[j]
+        p, q = powers[i], powers[j]
+        if p < q:
+            top = [x << (q - p) * k for x in top]
+            p = q
+        elif q < p:
+            bottom = [y << (p - q) * k for y in bottom]
+        b, c = bounds[i], bounds[j]
+        if letter > 0:
+            rows[i], rows[j] = [x + ((y - x) << k) for x, y in zip(top, bottom)], rows[i]
+            powers[i], powers[j] = p, powers[i]
+            bounds[i], bounds[j] = 2 * b + c, b
+        else:
+            rows[i], rows[j] = rows[j], [x + (y << k) - y for x, y in zip(top, bottom)]
+            powers[i], powers[j] = powers[j], p + 1
+            bounds[i], bounds[j] = c, b + 2 * c
+    return k, rows, powers, bounds
+
+
+def _burau_columns(word: BraidWord) -> tuple[int, list[list[int]], list[int], list[int]]:
+    """Columns of the reduced Burau matrix of word, packed: (k, values,
+    powers, bounds).  The letter rules of ``burau_alexander`` on columns
+    aligned to one power of t, with c_k <- c_{k-1} + c_k + c_{k+1} on the
+    bounds (columns 0 and n are zero):
+
+        +k:  c_k <- T (c_{k-1} - c_k) + c_{k+1}
+        -k:  c_k <- T c_{k-1} - c_k + c_{k+1}, power + 1
+    """
+    size = word.strands - 1
+    k, cols, powers, bounds = _identity(size)
+    zero = [0] * size
+    cols, powers, bounds = [zero, *cols, zero], [0, *powers, 0], [0, *bounds, 0]
+    limit = 1 << (k - 2)
+    for letter in word.letters:
+        c = abs(letter)
+        bound = bounds[c - 1] + bounds[c] + bounds[c + 1]
+        if bound >= limit:
+            k, cols, bounds = _rewiden(cols, k)
+            limit = 1 << (k - 2)
+            bound = bounds[c - 1] + bounds[c] + bounds[c + 1]
+        lower, mid, upper = cols[c - 1], cols[c], cols[c + 1]
+        p = max(powers[c - 1], powers[c], powers[c + 1])
+        if powers[c - 1] < p:
+            lower = [x << (p - powers[c - 1]) * k for x in lower]
+        if powers[c] < p:
+            mid = [x << (p - powers[c]) * k for x in mid]
+        if powers[c + 1] < p:
+            upper = [x << (p - powers[c + 1]) * k for x in upper]
+        if letter > 0:
+            cols[c] = [((y - x) << k) + z for x, y, z in zip(mid, lower, upper)]
+            powers[c] = p
+        else:
+            cols[c] = [(y << k) - x + z for x, y, z in zip(mid, lower, upper)]
+            powers[c] = p + 1
+        bounds[c] = bound
+    return k, cols[1:-1], powers[1:-1], bounds[1:-1]
+
+
+def _minus_identity(
+    packed: tuple[int, list[list[int]], list[int], list[int]],
+) -> tuple[int, list[list[int]], list[int], list[int]]:
+    """Vector i of I - A from vector i of A, packed: (k, values, powers, bounds)."""
+    k, vectors, powers, bounds = packed
+    out = []
+    for i, vec in enumerate(vectors):
+        vec = [-v for v in vec]
+        vec[i] += 1 << k * powers[i]
+        out.append(vec)
+    return k, out, powers, [b + 1 for b in bounds]
+
+
+def _packed_det(
+    rows: list[list[int]], powers: Sequence[int], bounds: Sequence[int], k: int
+) -> LaurentPoly:
+    """Determinant of the square matrix whose row i is t^-powers[i] times
+    the polynomials packed as rows[i] at 2^k, of l1 norm at most bounds[i].
+    Every coefficient of the determinant is at most prod(bounds)."""
+    wide = _width(prod(bounds))
+    if wide > k:
+        rows = [[_pack(_unpack(v, k), wide) for v in row] for row in rows]
+        k = wide
+    size = len(rows)
+    return _to_poly(int_det(IntMatrix(size, size, tuple(map(tuple, rows)))), sum(powers), k)
+
+
 def burau_alexander(a: BraidWord) -> LaurentPoly:
     """Alexander polynomial of the knot closure via the reduced Burau
     matrix: det(I - B) * (1 - t) / (1 - t^n), normalized.
@@ -273,53 +456,48 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
 
         +k:  col_k <- -t col_k + t col_{k-1} + col_{k+1}
         -k:  col_k <- -t^-1 col_k + col_{k-1} + t^-1 col_{k+1}
+
+    The columns are packed (``_burau_columns``), and det(I - B) is one
+    integer determinant of them.
     """
     if closure_component_count(a) != 1:
         raise ValueError("the closure is not a knot")
     n = a.strands
     if n == 1:
         return LaurentPoly.one()
-    size = n - 1
-    identity = LaurentMatrix.identity(size)
-    cols = [list(col) for col in identity.entries]  # B[i][k] = cols[k][i]
-    zeros = [LaurentPoly.zero()] * size
-    shifted_sum = LaurentPoly.shifted_sum
-    for letter in a.letters:
-        k = abs(letter) - 1
-        left, right = (1, 0) if letter > 0 else (0, -1)
-        lower = cols[k - 1] if k > 0 else zeros
-        upper = cols[k + 1] if k + 1 < size else zeros
-        cols[k] = [
-            shifted_sum((-1, left + right, x), (1, left, y), (1, right, z))
-            for x, y, z in zip(cols[k], lower, upper)
-        ]
-    char = laurent_det(identity - LaurentMatrix.from_rows(zip(*cols), cols=size))
+    k, cols, powers, bounds = _minus_identity(_burau_columns(a))
+    char = _packed_det(cols, powers, bounds, k)
     numerator = char * (LaurentPoly.one() - LaurentPoly.t())
     denominator = LaurentPoly.one() - LaurentPoly.t(n)
     return normalize_unit(exact_div(numerator, denominator))
 
 
-def knot_poly(m: LaurentMatrix) -> LaurentPoly:
-    """Normalized Alexander polynomial of a knot from its Alexander matrix
-    (``alexander_matrix`` of one braid): the minor on rows 0..cols-2 with
-    the base (last) column deleted, or 1 if cols == 1.  One minor is enough:
+def knot_poly(a: BraidWord) -> LaurentPoly:
+    """Normalized Alexander polynomial of a knot closure: the minor of its
+    Alexander matrix (``alexander_matrix(a)``) on the first cols-1 rows
+    with the base (last) column deleted, or 1 for one strand.  One minor is
+    enough:
 
     * The rows of M sum to zero, so every (cols-1)-minor equals, up to
       sign, the one on the same rows that avoids the base column.
     * The braid fixes x_1...x_n, so sum_i t^(i-1) (I - J(a))_i = 0.  The
       coefficients are units, so any row is a ring combination of the
       others, and any cols-1 rows span the row module.
-    * A knot's matrix has rank cols-1, so ``alexander_matrix`` dropped at
-      most one zero row, and the rows left still satisfy that relation.
+    * At t = 1, row i of I - J(a) is e_i - e_pi(i) for the closure
+      permutation pi, an n-cycle, so no row is zero and M has all n rows.
 
     Hence every minor that avoids the base column is an associate of Delta.
+    The rows are packed (``_jacobian_rows``), and the minor is one integer
+    determinant of them.
     """
-    if m.cols < 1:
-        raise ValueError("the matrix needs at least one column")
-    if m.rows < m.cols - 1:
-        raise ValueError("a knot's Alexander matrix has at least cols-1 rows")
-    base_free = range(m.cols - 1)
-    return normalize_unit(laurent_det(m.submatrix(base_free, base_free)))
+    if closure_component_count(a) != 1:
+        raise ValueError("the closure is not a knot")
+    n = a.strands
+    if n == 1:
+        return LaurentPoly.one()
+    k, rows, powers, bounds = _minus_identity(_jacobian_rows(a))
+    minor = [row[:-1] for row in rows[: n - 1]]
+    return normalize_unit(_packed_det(minor, powers[: n - 1], bounds[: n - 1], k))
 
 
 def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
@@ -336,9 +514,29 @@ def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
     return laurent_minor_gcd(m.submatrix(range(m.rows), base_free), m.cols - 1)
 
 
-def coloring_form(m: LaurentMatrix) -> SNFResult:
-    """Smith normal form of M(-1) with the base (last) column deleted, from
-    which reports read the determinant, coloring counts and classes.
+def _jacobian_at_minus_one(word: BraidWord) -> list[list[int]]:
+    """Rows of J(word) at t = -1 = t^-1, by the letter rules of
+    ``alexander_matrix``:
+
+        +i:  r_i <- 2 r_i - r_{i+1},  r_{i+1} <- r_i
+        -i:  r_i <- r_{i+1},  r_{i+1} <- 2 r_{i+1} - r_i
+    """
+    n = word.strands
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for letter in word.letters:
+        i = abs(letter) - 1
+        top, bottom = rows[i], rows[i + 1]
+        if letter > 0:
+            rows[i], rows[i + 1] = [2 * x - y for x, y in zip(top, bottom)], top
+        else:
+            rows[i], rows[i + 1] = bottom, [2 * y - x for x, y in zip(top, bottom)]
+    return rows
+
+
+def coloring_form(*braids: BraidWord) -> SNFResult:
+    """Smith normal form of M(-1) with the base (last) column deleted, for
+    M = ``alexander_matrix(*braids)``, from which reports read the
+    determinant, coloring counts and classes.
 
     * The rows of M sum to zero, so each (cols-1)-minor equals, up to
       sign, the one on the same rows that avoids the base column: the top
@@ -346,8 +544,25 @@ def coloring_form(m: LaurentMatrix) -> SNFResult:
     * Every coloring is a base-pinned coloring plus a constant, so the
       form's solutions modulo r are the condition-O colorings with the base
       dropped, and the total count is r times theirs.
+
+    M(-1) comes from the letter rules at t = -1 (``_jacobian_at_minus_one``).
+    M drops the rows of I - J(w) that are zero as polynomials, but keeps a
+    row that vanishes only at t = -1; where a zero row sits changes the
+    order in which the reduction meets the others, and so its transforms.
+    So when a row vanishes at t = -1, the packed rows (``_jacobian_rows``)
+    decide which rows are zero.
     """
-    if m.cols < 1:
-        raise ValueError("the matrix needs at least one column")
-    at_minus_one = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
-    return smith_normal_form(at_minus_one.column_deleted(m.cols - 1))
+    if len({word.strands for word in braids}) != 1:
+        raise ValueError("one or more braids on the same number of strands are required")
+    n = braids[0].strands
+    rows = []
+    for word in braids:
+        relators = [
+            [int(i == j) - x for j, x in enumerate(row)]
+            for i, row in enumerate(_jacobian_at_minus_one(word))
+        ]
+        if not all(map(any, relators)):
+            _, packed, _, _ = _minus_identity(_jacobian_rows(word))
+            relators = [row for row, exact in zip(relators, packed) if any(exact)]
+        rows.extend(row[:-1] for row in relators)
+    return smith_normal_form(IntMatrix.from_rows(rows, cols=n - 1))

@@ -76,7 +76,7 @@ def family_pair(n, p, m):
 
 def family_form(n, p, m):
     c, b = family_pair(n, p, m)
-    return c, b, coloring_form(alexander_matrix(c, b))
+    return c, b, coloring_form(c, b)
 
 
 def determinant(form):
@@ -106,7 +106,7 @@ def test_criterion_1_family_counts():
 def test_criterion_2_classical_sanity():
     for name, text, strands, expected_det, expected_classes in CLASSICAL_CASES:
         a = parse_braid(text, strands)
-        form = coloring_form(alexander_matrix(a))
+        form = coloring_form(a)
         det = determinant(form)
         assert det == expected_det, name
         classes = enumerate_rep_classes(form)
@@ -129,7 +129,7 @@ def test_criterion_3_determinant_colorability_rule():
     for n, p, m, expected_reps, _ in FAMILY_CASES:
         c, b, form = family_form(n, p, m)
         surface_det = determinant(form)
-        base_det = determinant(coloring_form(alexander_matrix(c)))
+        base_det = determinant(coloring_form(c))
         assert base_det == p ** (n - 1), (n, p, m)
         assert surface_det == base_det, (n, p, m)
         assert expected_reps == (base_det - 1) // 2, (n, p, m)
@@ -189,8 +189,7 @@ def test_criterion_5_oracle_equivalence_sweep():
     start = time.monotonic()
     for trial in range(100):
         a = random_knot_braid(rng, 4, 8)
-        pres_matrix = alexander_matrix(a)
-        form = coloring_form(pres_matrix)
+        pres_matrix, form = alexander_matrix(a), coloring_form(a)
         poly, det = alexander_poly(pres_matrix), determinant(form)
         oracle = burau_alexander(a)
         assert normalize_unit(poly) == oracle, f"trial {trial}: {a}"
@@ -229,7 +228,7 @@ def test_criterion_6_representation_validity():
         cases.append((form, torus_covering_presentation(c, b)))
     for _, text, strands, _, _ in CLASSICAL_CASES:
         a = parse_braid(text, strands)
-        cases.append((coloring_form(alexander_matrix(a)), closure_presentation(a)))
+        cases.append((coloring_form(a), closure_presentation(a)))
     for form, pres in cases:
         det = determinant(form)
         classes = enumerate_rep_classes(form)
@@ -285,6 +284,6 @@ def test_criterion_8_surface_determinant_parity():
     for trial in range(50):
         a = random_knot_braid(rng, 4, 8)
         b = full_twist(a.strands) ** rng.randint(0, 3)
-        det = determinant(coloring_form(alexander_matrix(a, b)))
+        det = determinant(coloring_form(a, b))
         assert det % 2 == 1, f"trial {trial}: {a} with twist {b}"
     print("ACCEPTANCE 8 (surface determinants are odd on 50 twisted pairs): PASS")

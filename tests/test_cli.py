@@ -189,11 +189,16 @@ def test_knot_report_takes_one_minor(capsys, monkeypatch):
 
         return original, counted
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a knot report did Laurent-polynomial work")
+
     for name in calls:
         patch_kreps_bindings(monkeypatch, *counter(name))
+    monkeypatch.setattr(laurent.LaurentPoly, "shifted_sum", refuse)
+    monkeypatch.setattr(laurent.LaurentMatrix, "__post_init__", refuse)
     assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
-    # one minor for the polynomial, one determinant for the Burau oracle
-    assert calls == {"laurent_det": 2, "poly_gcd": 0}
+    # the minor and the Burau determinant are integer determinants
+    assert calls == {"laurent_det": 0, "poly_gcd": 0}
 
 
 def test_parser_is_reused_across_calls(capsys):
@@ -240,6 +245,18 @@ def test_huge_run_is_a_parse_error(capsys):
     assert err.startswith("error:") and "exceeds" in err
 
 
+def test_family_words_over_the_cap_are_refused(capsys):
+    import time
+
+    # c would have 2 * 10007 letters, b 3 * 2 * 2 * 2000 letters
+    for argv in (("family", "3", "10007", "1"), ("family", "3", "3", "2000")):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith("error: ") and "10000 letters" in err, argv
+
+
 def test_exit_code_not_a_knot(capsys):
     code, _, _ = run(capsys, "knot", "1^2", "-n", "2", "--json")
     assert code == EXIT_NOT_A_KNOT
@@ -279,6 +296,25 @@ def test_verify_checks_the_base_column_gcd(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
     assert code == cli.EXIT_VERIFY_MISMATCH
     assert "all-minors gcds differ" in json.loads(out)["failure"]
+
+
+def test_verify_checks_the_packed_routes_on_long_words(capsys, monkeypatch):
+    import kreps.cli as cli
+    from kreps.laurent import LaurentPoly
+
+    # wrong only past the 8 letters of the random sweep, so only the long words see it
+    for name in ("knot_poly", "burau_alexander"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda a, f=original: f(a) if len(a.letters) <= 8 else LaurentPoly.one()
+        )
+        code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "4", "--json")
+        assert code == cli.EXIT_VERIFY_MISMATCH
+        report = json.loads(out)
+        assert report["braids_checked"] == 4
+        assert report["failure"].startswith("long braid 1^101 on 2 strands: ")
+        monkeypatch.setattr(cli, name, original)
+    assert run(capsys, "verify", "--seed", "3", "--trials", "4")[0] == EXIT_OK
 
 
 def test_verify_deterministic(capsys):

@@ -15,14 +15,18 @@ from kreps.colorings import (
     is_p_colorable,
     surface_coloring_census,
 )
-from kreps.intlinalg import determinantal_divisor
+from kreps.intlinalg import IntMatrix, determinantal_divisor, smith_normal_form
 from kreps.presentations import alexander_matrix, closure_diagram, coloring_form, coloring_matrix
 
 TREFOIL = parse_braid("1^3", 2)
 
 
-def trefoil_matrix():
-    return alexander_matrix(TREFOIL)
+def diagram_form(d):
+    """The coloring form of a diagram: the crossing matrix at t = -1 with
+    the last column deleted, reduced."""
+    m = coloring_matrix(d)
+    at_minus_one = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
+    return smith_normal_form(at_minus_one.column_deleted(m.cols - 1))
 
 
 # -- the quandle operation ------------------------------------------------
@@ -88,7 +92,7 @@ def test_generated_subgroup_matches_quandle_closure():
 
 
 def test_trefoil_census_mod_3():
-    census = coloring_census(coloring_form(trefoil_matrix()), 3)
+    census = coloring_census(coloring_form(TREFOIL), 3)
     assert census.total == 9
     assert census.condition_o == 3
     assert census.nondegenerate
@@ -96,31 +100,31 @@ def test_trefoil_census_mod_3():
 
 
 def test_trefoil_census_mod_5():
-    census = coloring_census(coloring_form(trefoil_matrix()), 5)
+    census = coloring_census(coloring_form(TREFOIL), 5)
     assert census.total == 5
     assert census.nontrivial == 0
     assert not census.nondegenerate
 
 
 def test_unknot_census():
-    matrix = coloring_matrix(closure_diagram(parse_braid("1", 2)))
+    form = diagram_form(closure_diagram(parse_braid("1", 2)))
     for r in (2, 3, 7):
-        census = coloring_census(coloring_form(matrix), r)
+        census = coloring_census(form, r)
         assert census.total == r
         assert census.condition_o == 1
         assert not census.nondegenerate
 
 
 def test_is_p_colorable():
-    assert is_p_colorable(coloring_form(trefoil_matrix()), 3)
-    assert not is_p_colorable(coloring_form(trefoil_matrix()), 5)
+    assert is_p_colorable(coloring_form(TREFOIL), 3)
+    assert not is_p_colorable(coloring_form(TREFOIL), 5)
 
 
 def test_colorable_implies_determinant_divisible():
     rng = random.Random(42)
     for _ in range(20):
         a = random_knot_braid(rng, 4, 7)
-        form = coloring_form(alexander_matrix(a))
+        form = coloring_form(a)
         det = determinantal_divisor(form, form.cols)
         for p in (2, 3, 5, 7):
             if is_p_colorable(form, p):
@@ -154,7 +158,7 @@ def test_transport_fixed_points_match_matrix_solutions():
     rng = random.Random(43)
     for _ in range(20):
         a = random_knot_braid(rng, max_strands=3, max_len=6)
-        form = coloring_form(alexander_matrix(a))
+        form = coloring_form(a)
         for r in (2, 3, 5):
             fixed = sum(
                 1
@@ -183,7 +187,7 @@ def test_surface_census_with_identity_matches_closure():
     for _ in range(10):
         a = random_knot_braid(rng, max_strands=3, max_len=6)
         e = BraidWord.identity(a.strands)
-        form = coloring_form(alexander_matrix(a))
+        form = coloring_form(a)
         for r in (2, 3, 5):
             surf = surface_coloring_census(a, e, r)
             alg = coloring_census(form, r)
@@ -200,7 +204,7 @@ def test_census_consistency_random_twisted_pairs():
     for _ in range(12):
         a = random_knot_braid(rng, max_strands=3, max_len=6)
         b = full_twist(a.strands) ** rng.randint(0, 2)
-        form = coloring_form(alexander_matrix(a, b))
+        form = coloring_form(a, b)
         for r in range(2, 13):
             surf = surface_coloring_census(a, b, r)
             alg = coloring_census(form, r)
@@ -213,19 +217,19 @@ def test_census_consistency_random_twisted_pairs():
 
 def test_profile_family_two_strands():
     a, b = TREFOIL, parse_braid("1^6", 2)
-    for r, cond in colorability_profile(coloring_form(alexander_matrix(a, b)), 12):
+    for r, cond in colorability_profile(coloring_form(a, b), 12):
         assert cond == (3 if r % 3 == 0 else 1)
 
 
 def test_profile_unknot():
     a = parse_braid("1", 2)
-    for _, cond in colorability_profile(coloring_form(alexander_matrix(a)), 10):
+    for _, cond in colorability_profile(coloring_form(a), 10):
         assert cond == 1
 
 
 def test_profile_trefoil():
     a = TREFOIL
-    for r, cond in colorability_profile(coloring_form(alexander_matrix(a)), 12):
+    for r, cond in colorability_profile(coloring_form(a), 12):
         assert cond == (3 if r % 3 == 0 else 1)
 
 
@@ -234,7 +238,7 @@ def test_profile_prime_power_counts():
     rng = random.Random(46)
     for _ in range(10):
         a = random_knot_braid(rng, max_strands=3, max_len=6)
-        profile = dict(colorability_profile(coloring_form(alexander_matrix(a)), 7))
+        profile = dict(colorability_profile(coloring_form(a), 7))
         for p in (3, 5, 7):
             count = profile[p]
             while count % p == 0:
@@ -277,7 +281,7 @@ def test_diagram_brute_force_census_agrees():
     for _ in range(15):
         a = random_knot_braid(rng, max_strands=4, max_len=7)
         d = closure_diagram(a)
-        form = coloring_form(coloring_matrix(d))
+        form = diagram_form(d)
         for r in (2, 3, 5, 7):
             brute = diagram_census_brute(d, r)
             alg = coloring_census(form, r)
@@ -291,7 +295,7 @@ def test_diagram_brute_force_census_on_a_deep_diagram():
     a = parse_braid("1^1501", 2)
     d = closure_diagram(a)
     assert d.arc_count == 1501
-    assert diagram_census_brute(d, 3) == coloring_census(coloring_form(alexander_matrix(a)), 3)
+    assert diagram_census_brute(d, 3) == coloring_census(coloring_form(a), 3)
 
 
 def test_census_dataclass_translation_invariant():
@@ -302,7 +306,7 @@ def test_census_dataclass_translation_invariant():
 def test_coloring_type_validates_against_matrix():
     from kreps.colorings import Coloring
 
-    matrix = trefoil_matrix()
+    matrix = alexander_matrix(TREFOIL)
     good = Coloring(3, (1, 0))
     assert good.satisfies(matrix)
     assert good.generated_divisor() == 1

@@ -17,7 +17,6 @@ from kreps.metabelian import (
 )
 from kreps.presentations import (
     Presentation,
-    alexander_matrix,
     closure_presentation,
     coloring_form,
     fox_matrix,
@@ -188,7 +187,7 @@ def test_negation_pairing_by_conjugation():
 
 def test_trefoil_classes():
     pres = closure_presentation(TREFOIL)
-    classes = enumerate_rep_classes(coloring_form(alexander_matrix(TREFOIL)))
+    classes = enumerate_rep_classes(coloring_form(TREFOIL))
     assert len(classes) == 1
     rc = classes[0]
     assert rc.modulus == 3
@@ -198,13 +197,13 @@ def test_trefoil_classes():
 
 
 def test_unknot_has_no_classes():
-    assert enumerate_rep_classes(coloring_form(alexander_matrix(parse_braid("1", 2)))) == []
+    assert enumerate_rep_classes(coloring_form(parse_braid("1", 2))) == []
 
 
 def test_surface_family_classes():
     c, b = parse_braid("1^3 2^3", 3), full_twist(3) ** 2
     pres = torus_covering_presentation(c, b)
-    classes = enumerate_rep_classes(coloring_form(alexander_matrix(c, b)))
+    classes = enumerate_rep_classes(coloring_form(c, b))
     assert len(classes) == 4
     for rc in classes:
         assert verify_representation(pres, rc.assignment)
@@ -213,7 +212,7 @@ def test_surface_family_classes():
 
 
 def test_classes_are_distinct_up_to_negation():
-    classes = enumerate_rep_classes(coloring_form(alexander_matrix(parse_braid("1^5", 2))))
+    classes = enumerate_rep_classes(coloring_form(parse_braid("1^5", 2)))
     assert len(classes) == 2
     seen = set()
     for rc in classes:
@@ -224,7 +223,7 @@ def test_classes_are_distinct_up_to_negation():
 
 
 def test_representation_angles_are_even():
-    for rc in enumerate_rep_classes(coloring_form(alexander_matrix(parse_braid("1 -2 1 -2", 3)))):
+    for rc in enumerate_rep_classes(coloring_form(parse_braid("1 -2 1 -2", 3))):
         for elt in rc.assignment:
             assert elt.kind == "R"
             assert elt.angle % 2 == 0
@@ -235,7 +234,7 @@ def test_four_strand_family_counts():
 
     c, b = prime_twist_family(4, 3, (1, 1, 1), None, 1)
     pres = torus_covering_presentation(c, b)
-    form = coloring_form(alexander_matrix(c, b))
+    form = coloring_form(c, b)
     det = determinantal_divisor(form, form.cols)
     assert det == 27
     classes = enumerate_rep_classes(form)
@@ -249,7 +248,7 @@ def test_negative_twist_power_family():
     from kreps.braids import prime_twist_family
 
     c, b = prime_twist_family(3, 3, (1, 1), None, -1)
-    form = coloring_form(alexander_matrix(c, b))
+    form = coloring_form(c, b)
     det = determinantal_divisor(form, form.cols)
     assert det == 9
     assert len(enumerate_rep_classes(form)) == 4
@@ -260,7 +259,7 @@ def test_five_strand_family_counts():
     from kreps.colorings import surface_coloring_census
 
     c, b = prime_twist_family(5, 3, (1, 1, 1, 1), None, 1)
-    form = coloring_form(alexander_matrix(c, b))
+    form = coloring_form(c, b)
     det = determinantal_divisor(form, form.cols)
     assert det == 81
     assert len(enumerate_rep_classes(form)) == 40

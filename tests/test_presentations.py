@@ -38,13 +38,17 @@ TREFOIL_POLY = LaurentPoly({0: 1, 1: -1, 2: 1})
 FIGURE_EIGHT_POLY = LaurentPoly({0: 1, 1: -3, 2: 1})
 
 
-def determinant(m):
-    form = coloring_form(m)
+def determinant(*braids):
+    form = coloring_form(*braids)
     return determinantal_divisor(form, form.cols)
 
 
 def full_snf(m):
     return smith_normal_form(IntMatrix.from_rows(m.evaluate(-1), cols=m.cols))
+
+
+def matrix_determinant(m):
+    return determinantal_divisor(full_snf(m), m.cols - 1)
 
 
 # -- presentations -----------------------------------------------------------
@@ -100,8 +104,8 @@ def test_torus_presentation_with_identity_matches_closure():
         a = random_knot_braid(rng, 4, 8)
         closure = closure_presentation(a)
         spun = torus_covering_presentation(a, BraidWord.identity(a.strands))
-        det_closure = determinant(fox_matrix(closure))
-        det_spun = determinant(fox_matrix(spun))
+        det_closure = matrix_determinant(fox_matrix(closure))
+        det_spun = matrix_determinant(fox_matrix(spun))
         assert det_closure == det_spun
 
 
@@ -138,13 +142,13 @@ def test_fox_derivative_inverse_letter():
 def test_unknot_matrix_is_empty():
     matrix = alexander_matrix(BraidWord.identity(1))
     assert matrix.rows == 0 and matrix.cols == 1
-    assert (alexander_poly(matrix), determinant(matrix)) == (LaurentPoly.one(), 1)
+    assert (alexander_poly(matrix), determinant(BraidWord.identity(1))) == (LaurentPoly.one(), 1)
 
 
 def test_trefoil_ideal_data():
     matrix = alexander_matrix(TREFOIL)
     assert alexander_poly(matrix) == TREFOIL_POLY
-    assert determinant(matrix) == 3
+    assert determinant(TREFOIL) == 3
     assert matrix.evaluate(-1) == [[-3, 3], [-3, 3]]
 
 
@@ -178,20 +182,38 @@ def test_burau_built_matrix_equals_fox_matrix():
             assert alexander_matrix(a, b) == expected, f"pair {a} / {b}"
 
 
-def test_coloring_form_matches_full_matrix():
-    # the one reduction reports read against the whole of M(-1)
-    rng = random.Random(40)
-    matrices = [alexander_matrix(random_knot_braid(rng, 6, 12)) for _ in range(200)]
+def coloring_form_cases(rng):
+    cases = [(random_knot_braid(rng, 6, 12),) for _ in range(200)]
     for _ in range(40):
         a = random_knot_braid(rng, 4, 6)
-        for b in [full_twist(a.strands) ** k for k in (-1, 1, 2)] + [a**2]:
-            matrices.append(alexander_matrix(a, b))
-    for m in matrices:
-        form, full = coloring_form(m), full_snf(m)
+        twist = full_twist(a.strands)
+        for b in (twist**-1, twist, twist**2, a**2, BraidWord.identity(a.strands)):
+            cases.append((a, b))
+    # links whose I - J has a nonzero row that vanishes at t = -1
+    for text in ("1 2 1 1 -2 1 2 2 1 1", "-1 -2 -1 -2 -1 -2 -2 -1 -1 -2"):
+        cases.append((parse_braid(text, 3),))
+    return cases
+
+
+def test_coloring_form_matches_full_matrix():
+    # the one reduction reports read against the whole of M(-1)
+    for braids in coloring_form_cases(random.Random(40)):
+        m = alexander_matrix(*braids)
+        form, full = coloring_form(*braids), full_snf(m)
         assert form.cols == m.cols - 1
         assert determinantal_divisor(form, m.cols - 1) == determinantal_divisor(full, m.cols - 1)
         for r in range(2, 21):
-            assert r * solution_count_mod(form, r) == solution_count_mod(full, r), (m, r)
+            assert r * solution_count_mod(form, r) == solution_count_mod(full, r), (braids, r)
+
+
+def test_coloring_form_reduces_the_alexander_matrix_at_minus_one():
+    # the same integer matrix as alexander_matrix's, so the same transforms
+    rng = random.Random(43)
+    for braids in coloring_form_cases(rng):
+        m = alexander_matrix(*braids)
+        at_minus_one = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
+        expected = smith_normal_form(at_minus_one.column_deleted(m.cols - 1))
+        assert coloring_form(*braids) == expected, braids
 
 
 def test_knot_minor_and_base_column_gcd_match_all_minors():
@@ -201,7 +223,7 @@ def test_knot_minor_and_base_column_gcd_match_all_minors():
         a = random_knot_braid(rng, 7, 14)
         m = alexander_matrix(a)
         expected = laurent_minor_gcd(m, m.cols - 1)
-        assert knot_poly(m) == expected, f"braid {a}"
+        assert knot_poly(a) == expected, f"braid {a}"
         assert alexander_poly(m) == expected, f"braid {a}"
     for _ in range(40):
         a = random_knot_braid(rng, 5, 6)
@@ -212,13 +234,13 @@ def test_knot_minor_and_base_column_gcd_match_all_minors():
 
 
 def test_knot_poly_edge_cases():
-    assert knot_poly(alexander_matrix(BraidWord.identity(1))) == LaurentPoly.one()
-    assert knot_poly(alexander_matrix(FIGURE_EIGHT)) == FIGURE_EIGHT_POLY
-    zero = LaurentPoly.zero()
-    too_few = LaurentMatrix.from_rows([[LaurentPoly.one(), zero, zero]], cols=3)
-    for bad in (too_few, LaurentMatrix(0, 0, ())):
+    assert knot_poly(BraidWord.identity(1)) == LaurentPoly.one()
+    assert knot_poly(parse_braid("1", 2)) == LaurentPoly.one()
+    assert knot_poly(FIGURE_EIGHT) == FIGURE_EIGHT_POLY
+    links = (parse_braid("1^2", 2), BraidWord.identity(3), parse_braid("1 2 1 1 -2 1 2 2 1 1", 3))
+    for link in links:
         with pytest.raises(ValueError):
-            knot_poly(bad)
+            knot_poly(link)
 
 
 def test_burau_built_matrix_rejects_bad_input():
@@ -231,12 +253,15 @@ def test_burau_built_matrix_rejects_bad_input():
 def test_ideal_data_edge_cases():
     zero = LaurentPoly.zero()
     too_few = LaurentMatrix.from_rows([[LaurentPoly.one(), zero, zero]], cols=3)
-    assert (alexander_poly(too_few), determinant(too_few)) == (zero, 0)
+    assert (alexander_poly(too_few), matrix_determinant(too_few)) == (zero, 0)
     single = LaurentMatrix(0, 1, ())
-    assert (alexander_poly(single), determinant(single)) == (LaurentPoly.one(), 1)
-    for route in (alexander_poly, coloring_form):
-        with pytest.raises(ValueError):
-            route(LaurentMatrix(0, 0, ()))
+    assert (alexander_poly(single), matrix_determinant(single)) == (LaurentPoly.one(), 1)
+    with pytest.raises(ValueError):
+        alexander_poly(LaurentMatrix(0, 0, ()))
+    with pytest.raises(ValueError):
+        coloring_form()
+    with pytest.raises(ValueError):
+        coloring_form(TREFOIL, BraidWord.identity(3))
 
 
 # -- closure diagrams ----------------------------------------------------------
@@ -322,7 +347,7 @@ def test_torus_knot_closed_forms():
     expected = LaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1})
     assert burau_alexander(t34) == expected
     assert alexander_poly(alexander_matrix(t34)) == expected
-    assert determinant(alexander_matrix(t34)) == 3
+    assert determinant(t34) == 3
 
     t27 = parse_braid("1^7", 2)
     assert burau_alexander(t27) == LaurentPoly(
@@ -380,7 +405,7 @@ def test_burau_matches_fox_route():
     for _ in range(40):
         a = random_knot_braid(rng, 4, 8)
         matrix = fox_matrix(closure_presentation(a))
-        poly, det = alexander_poly(matrix), determinant(matrix)
+        poly, det = alexander_poly(matrix), matrix_determinant(matrix)
         oracle = burau_alexander(a)
         assert normalize_unit(poly) == oracle, f"braid {a}"
         assert det == abs(oracle.evaluate(-1))
@@ -396,16 +421,16 @@ def test_classical_determinants():
         (CINQUEFOIL, 5),
         (GRANNY, 9),
     ):
-        det = determinant(alexander_matrix(braid))
+        det = determinant(braid)
         assert det == expected_det
 
 
 def test_surface_determinants():
     a, b = TREFOIL, parse_braid("1^6", 2)
-    assert determinant(alexander_matrix(a, b)) == 3
+    assert determinant(a, b) == 3
 
     c, tau2 = GRANNY, full_twist(3) ** 2
-    assert determinant(alexander_matrix(c, tau2)) == 9
+    assert determinant(c, tau2) == 9
 
 
 def test_surface_determinant_is_odd():
@@ -413,7 +438,7 @@ def test_surface_determinant_is_odd():
     for _ in range(20):
         a = random_knot_braid(rng, 4, 8)
         b = full_twist(a.strands) ** rng.randint(0, 2)
-        assert determinant(alexander_matrix(a, b)) % 2 == 1
+        assert determinant(a, b) % 2 == 1
 
 
 def test_diagram_vs_presentation_divisors():
