@@ -23,6 +23,7 @@ import sys
 from typing import Any, Sequence
 
 from .braids import (
+    MAX_BRAID_LETTERS,
     BraidWord,
     braids_commute,
     closure_component_count,
@@ -505,6 +506,9 @@ def _parse_signs(text: str | None) -> tuple[int, ...] | None:
 def _parse_perm(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
+    if not isinstance(text, str):
+        # argparse may strip the value of --perm=-- too
+        raise ValueError("--perm lost its value; separate the entries by commas, as --perm=2,1")
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
@@ -574,13 +578,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             a = parse_braid(args.braid, args.strands)
             report = knot_report(a, args.rmax)
         elif args.command == "surface":
-            a = parse_braid(args.braid_a, args.strands)
-            if args.fulltwist is not None:
+            twist = args.fulltwist
+            if twist is not None:
                 if args.braid_b:
                     raise ValueError("give either a second braid or --fulltwist, not both")
-                b = full_twist(args.strands) ** args.fulltwist
-            else:
+                # the full twist has n(n-1) letters
+                if args.strands * (args.strands - 1) * abs(twist) > MAX_BRAID_LETTERS:
+                    raise ValueError(f"the full-twist power exceeds {MAX_BRAID_LETTERS} letters")
+            a = parse_braid(args.braid_a, args.strands)
+            if twist is None:
                 b = parse_braid(args.braid_b, args.strands)
+            else:
+                b = full_twist(args.strands) ** twist if twist else BraidWord.identity(args.strands)
             report = surface_report(a, b, args.rmax)
         elif args.command == "family":
             signs = _parse_signs(args.signs)

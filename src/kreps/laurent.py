@@ -139,22 +139,6 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly._of({e + k: c for e, c in self._coeffs.items()})
 
-    @staticmethod
-    def shifted_sum(*terms: tuple[int, int, "LaurentPoly"]) -> "LaurentPoly":
-        """The sum of sign * t^shift * f over the (sign, shift, f) terms,
-        with int signs, built in one map: the kernel of the per-letter
-        Burau rules."""
-        out: dict[int, int] = {}
-        for sign, shift, f in terms:
-            for e, c in f._coeffs.items():
-                e += shift
-                c = out.get(e, 0) + sign * c
-                if c:
-                    out[e] = c
-                else:
-                    out.pop(e, None)
-        return LaurentPoly._of(out)
-
     def evaluate(self, v: int) -> int:
         """Value at t = v, only for v in {1, -1} (so 1/t stays integral)."""
         if v == 1:

@@ -11,9 +11,8 @@ Matrix conventions:
   i by generator j.  Row sums vanish identically because every relator
   has weighted exponent sum zero.
 * ``alexander_matrix`` builds it from the braid by one Burau rule per
-  letter on Laurent polynomials.  Free-word presentations and Fox
-  calculus (``fox_matrix``) are the oracle that the tests and ``kreps
-  verify`` check it against.
+  letter.  Free-word presentations and Fox calculus (``fox_matrix``) are
+  the oracle that the tests and ``kreps verify`` check it against.
 * A knot's polynomial is one minor (``knot_poly``), checked by the
   reduced Burau route (``burau_alexander``); a surface's is the gcd of
   the minors that avoid the base column (``alexander_poly``).
@@ -26,9 +25,10 @@ Matrix conventions:
   into k; negative: the other way around).  At t = -1 both readings give
   the same row, 2*over - in - out.
 
-``knot_poly`` and ``burau_alexander`` run the Burau rules on packed
-integers (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009),
-not on Laurent polynomials, and ``coloring_form`` runs them at t = -1:
+``alexander_matrix``, ``knot_poly`` and ``burau_alexander`` run the Burau
+rules on packed integers (Kronecker substitution; Harvey, J. Symbolic
+Comput. 44, 2009), not on Laurent polynomials, and ``coloring_form`` runs
+them at t = -1:
 
 * A vector of Laurent polynomials t^-p (f_1, ..., f_m), each f_j in Z[t],
   is kept as the integers f_j(T) at T = 2^k, with its own power p, so
@@ -173,37 +173,6 @@ def fox_matrix(p: Presentation) -> LaurentMatrix:
         for rel in p.relators
     )
     return LaurentMatrix(len(p.relators), p.generators, grid)
-
-
-def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
-    """Nonzero rows of I - J(w) for each braid w given, in order: equal to
-    ``fox_matrix`` of the closure or torus-covering presentation, zero rows
-    dropped.  J(w), the abelianized Fox Jacobian of the automorphism of w,
-    is the product of its unreduced Burau letter matrices (Birman 1974,
-    section 3); from the identity, each letter, first to last, updates:
-
-        +i:  row_i <- (1-t) row_i + t row_{i+1},  row_{i+1} <- old row_i
-        -i:  row_i <- row_{i+1},  row_{i+1} <- t^-1 row_i + (1-t^-1) row_{i+1}
-    """
-    if len({word.strands for word in braids}) != 1:
-        raise ValueError("one or more braids on the same number of strands are required")
-    n = braids[0].strands
-    identity = LaurentMatrix.identity(n)
-    shifted_sum = LaurentPoly.shifted_sum
-    rows = []
-    for word in braids:
-        jac = [list(row) for row in identity.entries]
-        for letter in word.letters:
-            i = abs(letter) - 1
-            top, bottom = jac[i], jac[i + 1]
-            if letter > 0:
-                jac[i] = [shifted_sum((1, 0, x), (-1, 1, x), (1, 1, y)) for x, y in zip(top, bottom)]
-                jac[i + 1] = top
-            else:
-                jac[i] = bottom
-                jac[i + 1] = [shifted_sum((1, 0, y), (1, -1, x), (-1, -1, y)) for x, y in zip(top, bottom)]
-        rows.extend((identity - LaurentMatrix.from_rows(jac, cols=n)).without_zero_rows().entries)
-    return LaurentMatrix.from_rows(rows, cols=n)
 
 
 def closure_diagram(a: BraidWord) -> ClosureDiagram:
@@ -472,6 +441,28 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
     return normalize_unit(exact_div(numerator, denominator))
 
 
+def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
+    """Nonzero rows of I - J(w) for each braid w given, in order: equal to
+    ``fox_matrix`` of the closure or torus-covering presentation, zero rows
+    dropped.  J(w), the abelianized Fox Jacobian of the automorphism of w,
+    is the product of its unreduced Burau letter matrices (Birman 1974,
+    section 3); from the identity, each letter, first to last, updates:
+
+        +i:  row_i <- (1-t) row_i + t row_{i+1},  row_{i+1} <- old row_i
+        -i:  row_i <- row_{i+1},  row_{i+1} <- t^-1 row_i + (1-t^-1) row_{i+1}
+
+    The rows are packed (``_jacobian_rows``) and unpacked once at the end;
+    a packed value is 0 exactly when its polynomial is.
+    """
+    if len({word.strands for word in braids}) != 1:
+        raise ValueError("one or more braids on the same number of strands are required")
+    rows = []
+    for word in braids:
+        k, vectors, powers, _ = _minus_identity(_jacobian_rows(word))
+        rows.extend([_to_poly(v, p, k) for v in vec] for vec, p in zip(vectors, powers) if any(vec))
+    return LaurentMatrix.from_rows(rows, cols=braids[0].strands)
+
+
 def knot_poly(a: BraidWord) -> LaurentPoly:
     """Normalized Alexander polynomial of a knot closure: the minor of its
     Alexander matrix (``alexander_matrix(a)``) on the first cols-1 rows
@@ -545,24 +536,18 @@ def coloring_form(*braids: BraidWord) -> SNFResult:
       form's solutions modulo r are the condition-O colorings with the base
       dropped, and the total count is r times theirs.
 
-    M(-1) comes from the letter rules at t = -1 (``_jacobian_at_minus_one``).
-    M drops the rows of I - J(w) that are zero as polynomials, but keeps a
-    row that vanishes only at t = -1; where a zero row sits changes the
-    order in which the reduction meets the others, and so its transforms.
-    So when a row vanishes at t = -1, the packed rows (``_jacobian_rows``)
-    decide which rows are zero.
+    M(-1) comes from the letter rules at t = -1 (``_jacobian_at_minus_one``),
+    and every row that vanishes there is dropped, including those of M that
+    vanish only at t = -1.  A zero row changes no divisor and no solution;
+    only the row transform P depends on it.
     """
     if len({word.strands for word in braids}) != 1:
         raise ValueError("one or more braids on the same number of strands are required")
     n = braids[0].strands
     rows = []
     for word in braids:
-        relators = [
-            [int(i == j) - x for j, x in enumerate(row)]
-            for i, row in enumerate(_jacobian_at_minus_one(word))
-        ]
-        if not all(map(any, relators)):
-            _, packed, _, _ = _minus_identity(_jacobian_rows(word))
-            relators = [row for row, exact in zip(relators, packed) if any(exact)]
-        rows.extend(row[:-1] for row in relators)
+        for i, row in enumerate(_jacobian_at_minus_one(word)):
+            relator = [int(i == j) - x for j, x in enumerate(row[:-1])]
+            if any(relator):
+                rows.append(relator)
     return smith_normal_form(IntMatrix.from_rows(rows, cols=n - 1))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreps.braids import (
     MAX_BRAID_LETTERS,
@@ -66,6 +68,41 @@ def test_parse_bounds_run_expansion():
     for text in ("1^1000000000", f"1 -1^{MAX_BRAID_LETTERS}", f"1^{MAX_BRAID_LETTERS} 1"):
         with pytest.raises(ValueError, match="exceeds"):
             parse_braid(text, 2)
+
+
+@st.composite
+def braid_tokens(draw):
+    """A token [sign]index[^exp][junk] and the letters it stands for, or
+    None where parse_braid must reject it."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    index = draw(st.integers(0, 7))
+    exp = draw(st.one_of(st.none(), st.integers(-2, 9)))
+    junk = draw(st.sampled_from(["", "", "", "x", "^", "^^2", ".", "1-"]))
+    text = f"{sign}{index}" + ("" if exp is None else f"^{exp}") + junk
+    if junk or (exp is not None and exp < 1):
+        return text, None
+    return text, [-index if sign == "-" else index] * (1 if exp is None else exp)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(-1, 6),
+    st.lists(st.tuples(braid_tokens(), st.sampled_from([" ", "  ", "\t", "\n"])), max_size=6),
+)
+def test_parse_braid_matches_a_token_reference(strands, tokens):
+    text = "".join(token + space for (token, _), space in tokens)
+    meanings = [meaning for (_, meaning), _ in tokens]
+    letters = [x for meaning in meanings if meaning is not None for x in meaning]
+    valid = (
+        strands >= 1
+        and None not in meanings
+        and all(1 <= abs(x) <= strands - 1 for x in letters)
+    )
+    if valid:
+        assert parse_braid(text, strands) == BraidWord(strands, tuple(letters))
+    else:
+        with pytest.raises(ValueError):
+            parse_braid(text, strands)
 
 
 # -- closure permutation --------------------------------------------------

@@ -1,15 +1,25 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kreps.braids import closure_component_count, parse_braid
 from kreps.cli import (
     EXIT_FAMILY_ASSERTION,
     EXIT_NOT_A_KNOT,
     EXIT_NOT_COMMUTING,
     EXIT_OK,
     EXIT_USAGE,
+    _parse_perm,
+    _parse_signs,
     main,
 )
 
@@ -194,7 +204,6 @@ def test_knot_report_takes_one_minor(capsys, monkeypatch):
 
     for name in calls:
         patch_kreps_bindings(monkeypatch, *counter(name))
-    monkeypatch.setattr(laurent.LaurentPoly, "shifted_sum", refuse)
     monkeypatch.setattr(laurent.LaurentMatrix, "__post_init__", refuse)
     assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
     # the minor and the Burau determinant are integer determinants
@@ -255,6 +264,28 @@ def test_family_words_over_the_cap_are_refused(capsys):
         assert time.monotonic() - start < 1.0, argv
         assert (code, out) == (EXIT_USAGE, ""), argv
         assert err.startswith("error: ") and "10000 letters" in err, argv
+
+
+def test_full_twist_powers_over_the_cap_are_refused(capsys):
+    import time
+
+    # the full twist on n strands has n(n-1) letters
+    for argv in (
+        ("surface", "1 2", "-n", "3", "--fulltwist", "1667"),
+        ("surface", "1 2", "-n", "3", "--fulltwist", "-2000"),
+        ("surface", "", "-n", "200000", "--fulltwist", "1"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith("error: ") and "10000 letters" in err, argv
+    # the zeroth power builds no full twist: it is the identity on any
+    # number of strands, one included
+    for braid, strands in (("1^3", "2"), ("", "1")):
+        identity = run(capsys, "surface", braid, "", "-n", strands)
+        assert identity[0] == EXIT_OK
+        assert run(capsys, "surface", braid, "-n", strands, "--fulltwist", "0") == identity
 
 
 def test_exit_code_not_a_knot(capsys):
@@ -330,3 +361,133 @@ def test_json_round_trip(capsys):
     again = json.loads(json.dumps(report))
     assert again == report
     assert int(report["determinant"]) == 5
+
+
+# -- hostile and malformed input -------------------------------------------------
+
+
+def test_parse_signs_and_perm_edge_cases():
+    assert _parse_signs(None) is None and _parse_perm(None) is None
+    for parse in (_parse_signs, _parse_perm):
+        with pytest.raises(ValueError, match="lost its value"):
+            parse([])
+
+
+@given(st.text(alphabet="+-, x", max_size=8))
+def test_parse_signs_reads_plus_and_minus_between_commas(text):
+    cleaned = text.replace(",", "")
+    if set(cleaned) <= {"+", "-"}:
+        assert _parse_signs(text) == tuple(1 if ch == "+" else -1 for ch in cleaned)
+    else:
+        with pytest.raises(ValueError):
+            _parse_signs(text)
+
+
+@given(st.text(alphabet="0123456789-, x\t", max_size=10))
+def test_parse_perm_reads_integers_between_commas_and_spaces(text):
+    tokens = text.replace(",", " ").split()
+    if all(re.fullmatch(r"-?[0-9]+", token) for token in tokens):
+        assert _parse_perm(text) == tuple(int(token) for token in tokens)
+    else:
+        with pytest.raises(ValueError):
+            _parse_perm(text)
+
+
+# mostly well-formed words on 2-4 strands, so that valid input is common
+braid_texts = st.lists(
+    st.tuples(
+        st.sampled_from(["", "-"]),
+        st.one_of(st.integers(1, 3), st.integers(0, 6)),
+        st.sampled_from(["", "", "", "^2", "^3", "^9", "^0", "x"]),
+    ),
+    max_size=4,
+).map(lambda tokens: " ".join(f"{sign}{index}{tail}" for sign, index, tail in tokens))
+strand_counts = st.one_of(st.integers(2, 4), st.integers(-1, 6))
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def parses(text, strands):
+    try:
+        return parse_braid(text, strands)
+    except ValueError:
+        return None
+
+
+def assert_refused(result, argv):
+    code, out, err = result
+    assert (code, out) == (EXIT_USAGE, ""), argv
+    assert err.startswith("error: "), argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(braid_texts, strand_counts, st.one_of(st.none(), st.integers(-1, 9)), st.booleans())
+def test_main_knot_exit_codes(text, strands, rmax, as_json):
+    argv = ["knot", "-n", str(strands)]
+    argv += [] if rmax is None else ["--rmax", str(rmax)]
+    argv += ["--json"] if as_json else []
+    argv += ["--", text]
+    result = run_main(argv)
+    a = parses(text, strands)
+    if a is None:
+        assert_refused(result, argv)
+    elif closure_component_count(a) != 1:
+        assert result[0] == EXIT_NOT_A_KNOT, argv
+    elif rmax is not None and rmax < 2:
+        assert_refused(result, argv)
+    else:
+        assert result[0] == EXIT_OK and result[1], argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    braid_texts,
+    st.one_of(braid_texts, st.integers(-9, 9)),
+    st.integers(-1, 4),
+    st.booleans(),
+)
+def test_main_surface_exit_codes(text, second, strands, both):
+    if isinstance(second, int):
+        argv = ["surface", "-n", str(strands), "--fulltwist", str(second), "--", text]
+        argv += ["1"] if both else []
+        bad = both or (second != 0 and strands < 2)
+    else:
+        argv = ["surface", "-n", str(strands), "--", text, second]
+        bad = parses(second, strands) is None
+    # the transport census is r^n work; a small cap keeps every run short
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("KREPS_ENUM_CAP", "5000")
+        result = run_main(argv)
+    if bad or parses(text, strands) is None:
+        assert_refused(result, argv)
+    else:
+        assert result[0] in (EXIT_OK, EXIT_USAGE, EXIT_NOT_A_KNOT, EXIT_NOT_COMMUTING), argv
+        assert bool(result[1]) == (result[0] == EXIT_OK), argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-1, 3),
+    st.sampled_from(["3", "5", "9", "2", "-3", "x"]),
+    st.integers(-1, 2),
+    st.one_of(st.none(), st.text(alphabet="+-,x", max_size=4)),
+    st.one_of(st.none(), st.text(alphabet="120, -", max_size=5)),
+)
+def test_main_family_exit_codes(n, p, m, signs, perm):
+    argv = ["family", str(n), p, str(m)]
+    argv += [] if signs is None else [f"--signs={signs}"]
+    argv += [] if perm is None else [f"--perm={perm}"]
+    result = run_main(argv)
+    try:
+        _parse_signs(signs)
+        _parse_perm(perm)
+        int(p)
+    except ValueError:
+        assert result[0] == EXIT_USAGE and result[1] == "", argv
+    else:
+        assert result[0] in (EXIT_OK, EXIT_USAGE, EXIT_FAMILY_ASSERTION), argv

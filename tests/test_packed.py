@@ -9,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kreps.presentations as presentations
-from kreps.braids import BraidWord, closure_component_count, parse_braid, random_knot_braid
-from kreps.intlinalg import IntMatrix, smith_normal_form
-from kreps.laurent import LaurentMatrix, LaurentPoly, laurent_det, normalize_unit
+from kreps.braids import (
+    BraidWord,
+    closure_component_count,
+    full_twist,
+    parse_braid,
+    random_knot_braid,
+)
+from kreps.cli import _LONG_WORDS
+from kreps.intlinalg import IntMatrix, enumerate_solutions_mod, smith_normal_form
+from kreps.laurent import LaurentMatrix, LaurentPoly, laurent_det, laurent_minor_gcd, normalize_unit
 from kreps.presentations import (
     _burau_columns,
     _jacobian_rows,
@@ -22,6 +29,7 @@ from kreps.presentations import (
     _unpack,
     _width,
     alexander_matrix,
+    alexander_poly,
     burau_alexander,
     coloring_form,
     knot_poly,
@@ -106,19 +114,56 @@ def test_width_is_the_least_byte_multiple_above_the_bound():
 # -- the letter rules ------------------------------------------------------------
 
 
-def relator_rows(word):
-    """Rows of I - J(word), zero rows dropped, from the packed rule."""
-    return [row for row in unpacked(_minus_identity(_jacobian_rows(word))) if any(row)]
+def laurent_jacobian_rows(word):
+    """The rows of J(word) by the Laurent rule of ``alexander_matrix``."""
+    n = word.strands
+    zero = LaurentPoly.zero()
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for letter in word.letters:
+        i = abs(letter) - 1
+        top, bottom = rows[i], rows[i + 1]
+        if letter > 0:
+            # (1-t) x + t y
+            rows[i] = [x + (y - x).shifted(1) for x, y in zip(top, bottom)]
+            rows[i + 1] = top
+        else:
+            # t^-1 x + (1-t^-1) y
+            rows[i] = bottom
+            rows[i + 1] = [y + (x - y).shifted(-1) for x, y in zip(top, bottom)]
+    return rows
+
+
+def laurent_alexander_matrix(*braids):
+    """The nonzero rows of I - J(w) for each w, by the Laurent rule."""
+    rows = []
+    for word in braids:
+        for i, row in enumerate(laurent_jacobian_rows(word)):
+            relator = [(one if i == j else LaurentPoly.zero()) - x for j, x in enumerate(row)]
+            if any(relator):
+                rows.append(tuple(relator))
+    return LaurentMatrix.from_rows(rows, cols=braids[0].strands)
 
 
 @settings(max_examples=80, deadline=None)
 @given(words(5, 30), st.booleans())
-def test_packed_rows_match_the_alexander_matrix_after_every_letter(word, narrow):
+def test_packed_rows_and_alexander_matrix_match_the_laurent_rule_after_every_letter(word, narrow):
     with headroom(narrow):
         for end in range(len(word.letters) + 1):
             prefix = BraidWord(word.strands, word.letters[:end])
-            expected = [list(row) for row in alexander_matrix(prefix).entries]
-            assert relator_rows(prefix) == expected, prefix
+            assert unpacked(_jacobian_rows(prefix)) == laurent_jacobian_rows(prefix), prefix
+            assert alexander_matrix(prefix) == laurent_alexander_matrix(prefix), prefix
+
+
+def test_alexander_matrix_matches_the_laurent_rule_on_words_that_resize():
+    initial = _width(1) + presentations._HEADROOM
+    # Delta^800, the full twist being Delta^2
+    pair = (parse_braid("1 2", 3), full_twist(3) ** 400)
+    knots = [parse_braid(text, strands) for text, strands in _LONG_WORDS]
+    for braids in [pair] + [(a,) for a in knots]:
+        assert max(_jacobian_rows(w)[0] for w in braids) > initial, braids
+        assert alexander_matrix(*braids) == laurent_alexander_matrix(*braids), braids
+    m = alexander_matrix(*pair)
+    assert alexander_poly(m) == laurent_minor_gcd(m, m.cols - 1)
 
 
 def laurent_burau_columns(word):
@@ -187,6 +232,16 @@ def test_packed_det_of_monomials_reaches_the_bound():
 # -- the packed routes on long words ------------------------------------------------
 
 
+def assert_form_reads_the_full_matrix(form, m):
+    """What reports read from the form, its divisors and its base-pinned
+    solutions modulo r, against the whole of M(-1)."""
+    full = smith_normal_form(IntMatrix.from_rows(m.evaluate(-1), cols=m.cols))
+    assert (form.cols, form.divisors) == (m.cols - 1, full.divisors)
+    for r in range(2, 21):
+        pinned = [sol[:-1] for sol in enumerate_solutions_mod(full, r) if not sol[-1]]
+        assert sorted(enumerate_solutions_mod(form, r)) == sorted(pinned), r
+
+
 def laurent_minor(a):
     m = alexander_matrix(a)
     base_free = range(m.cols - 1)
@@ -224,9 +279,7 @@ def test_packed_routes_match_the_laurent_minor_on_long_words():
         expected = laurent_minor(a)
         assert knot_poly(a) == expected, a
         assert burau_alexander(a) == expected, a
-        m = alexander_matrix(a)
-        at_minus_one = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
-        assert coloring_form(a) == smith_normal_form(at_minus_one.column_deleted(m.cols - 1)), a
+        assert_form_reads_the_full_matrix(coloring_form(a), alexander_matrix(a))
 
 
 def test_packed_routes_match_the_laurent_minor_with_narrow_headroom():

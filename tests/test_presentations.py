@@ -3,7 +3,13 @@ import random
 import pytest
 
 from kreps.braids import BraidWord, FreeWord, full_twist, parse_braid, random_knot_braid
-from kreps.intlinalg import IntMatrix, determinantal_divisor, smith_normal_form, solution_count_mod
+from kreps.intlinalg import (
+    IntMatrix,
+    determinantal_divisor,
+    enumerate_solutions_mod,
+    smith_normal_form,
+    solution_count_mod,
+)
 from kreps.laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -206,14 +212,18 @@ def test_coloring_form_matches_full_matrix():
             assert r * solution_count_mod(form, r) == solution_count_mod(full, r), (braids, r)
 
 
-def test_coloring_form_reduces_the_alexander_matrix_at_minus_one():
-    # the same integer matrix as alexander_matrix's, so the same transforms
+def test_coloring_form_reads_like_the_alexander_matrix_at_minus_one():
+    # what reports read, the divisors and the base-pinned solutions, from
+    # the full M(-1); the form drops every row that vanishes at t = -1, so
+    # its row transform P may differ from that of M(-1)
     rng = random.Random(43)
     for braids in coloring_form_cases(rng):
         m = alexander_matrix(*braids)
-        at_minus_one = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
-        expected = smith_normal_form(at_minus_one.column_deleted(m.cols - 1))
-        assert coloring_form(*braids) == expected, braids
+        form, full = coloring_form(*braids), full_snf(m)
+        assert (form.cols, form.divisors) == (m.cols - 1, full.divisors), braids
+        for r in range(2, 21):
+            pinned = [sol[:-1] for sol in enumerate_solutions_mod(full, r) if not sol[-1]]
+            assert sorted(enumerate_solutions_mod(form, r)) == sorted(pinned), (braids, r)
 
 
 def test_knot_minor_and_base_column_gcd_match_all_minors():
