@@ -78,9 +78,13 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 
     Runs are expanded, so ``"1^3"`` equals ``"1 1 1"``, up to
     MAX_BRAID_LETTERS letters in all; the empty string is the identity braid.
+    At most MAX_BRAID_LETTERS + 1 strands are accepted, the most a knot
+    closure of that many letters can have.
     """
     if strands < 1:
         raise ValueError("a braid needs at least one strand")
+    if strands > MAX_BRAID_LETTERS + 1:
+        raise ValueError(f"a braid may have at most {MAX_BRAID_LETTERS + 1} strands")
     letters: list[int] = []
     for token in text.split():
         match = _TOKEN.fullmatch(token)

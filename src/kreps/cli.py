@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .braids import (
@@ -49,7 +49,12 @@ from .intlinalg import (
     solution_count_mod,
 )
 from .laurent import laurent_minor_gcd, poly_str
-from .metabelian import count_irreducible_metabelian, enumerate_rep_classes
+from .metabelian import (
+    count_irreducible_metabelian,
+    enumerate_rep_classes,
+    is_irreducible,
+    verify_representation,
+)
 from .presentations import (
     alexander_matrix,
     alexander_poly,
@@ -82,7 +87,7 @@ def _classes_payload(classes) -> list[dict[str, Any]]:
         {
             "modulus": rc.modulus,
             "coloring": list(rc.coloring),
-            "angles": [elt.angle for elt in rc.assignment],
+            "angles": list(rc.angles),
         }
         for rc in classes
     ]
@@ -254,7 +259,8 @@ def _braid_mismatch(a: BraidWord) -> str | None:
     """All per-braid cross-checks; returns a description of the first
     failure, or None."""
     matrix = alexander_matrix(a)
-    if matrix != fox_matrix(closure_presentation(a)).without_zero_rows():
+    presentation = closure_presentation(a)
+    if matrix != fox_matrix(presentation).without_zero_rows():
         return "burau-built matrix != fox matrix of the free-word presentation"
     form = coloring_form(a)
     poly = knot_poly(a)
@@ -269,6 +275,11 @@ def _braid_mismatch(a: BraidWord) -> str | None:
             return f"knot minor {poly_str(poly)} != {route} {poly_str(other)}"
     if det != abs(poly.evaluate(-1)):
         return f"determinant {det} != |poly(-1)|"
+    for rc in enumerate_rep_classes(form):
+        if not verify_representation(presentation, rc.assignment):
+            return f"class of coloring {rc.coloring} fails a free-word relator"
+        if not is_irreducible(rc.assignment):
+            return f"class of coloring {rc.coloring} is reducible"
     full = smith_normal_form(IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols))
     if det != determinantal_divisor(full, matrix.cols - 1):
         return f"form determinant {det} != divisor of the full matrix"
@@ -482,10 +493,50 @@ def _print_table(report: dict[str, Any], stream) -> None:
             line(key, report[key])
 
 
+def _json_text(value: Any, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at the
+    indentation ``pad``, for the types a report holds: dicts with string
+    keys, lists and tuples, strings, ints, booleans and None; any other
+    type raises TypeError.
+
+    A list of plain ints, the bulk of a report, is written with one join.
+    """
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a string
+        body = (",\n" + inner).join(
+            [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = (",\n" + inner).join(map(int.__repr__, value))
+        else:
+            body = (",\n" + inner).join([_json_text(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a report cannot hold a {type(value).__name__}")
+
+
 def _emit(report: dict[str, Any], as_json: bool, stream=None) -> None:
     stream = stream or sys.stdout
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True), file=stream)
+        print(_json_text(report), file=stream)
     else:
         _print_table(report, stream)
 

@@ -21,7 +21,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .braids import BraidWord, braids_commute
+from .braids import BraidWord
 from .intlinalg import (
     EnumerationCapExceeded,
     IntMatrix,
@@ -153,9 +153,11 @@ def surface_coloring_census(
     """Census of colorings of the surface knot spanned by (a, b): tuples
     fixed by the transport of both basis braids, found by exhaustive
     search over (Z/r)^n.
+
+    The pair must commute, and the census does not check it: the free-word
+    check is exponential, ``cli.surface_report`` has run it before any
+    census, and ``verify`` passes the identity as b.
     """
-    if not braids_commute(a, b):
-        raise ValueError("basis braids must commute")
     if r < 2:
         raise ValueError("modulus must be at least 2")
     n = a.strands

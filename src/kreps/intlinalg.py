@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, prod
-from operator import mul
 from typing import Iterable, Sequence
 
 DEFAULT_ENUM_CAP = 10**6
@@ -249,23 +248,34 @@ def _enum_cap(cap: int | None) -> int:
 def enumerate_solutions_mod(
     snf: SNFResult, r: int, cap: int | None = None
 ) -> list[tuple[int, ...]]:
-    """All x in (Z/r)^cols with A x == 0 (mod r), without duplicates.
+    """All x in (Z/r)^cols with A x == 0 (mod r), without duplicates and in
+    no promised order.
 
     Solutions are Q x' where the pivot coordinates of x' run over the
     multiples of r/gcd(d_i, r) and the free coordinates run over all
-    residues.  Raises EnumerationCapExceeded if the solution count
-    exceeds the cap (default 10**6, overridable via KREPS_ENUM_CAP).
+    residues.  So the solution group is generated by one step-scaled
+    column of Q per nontrivial divisor or free column, and the solutions
+    are the sums of the generators' multiples, built one generator at a
+    time; a cyclic group needs the multiples of one vector only.  Raises
+    EnumerationCapExceeded if the solution count exceeds the cap (default
+    10**6, overridable via KREPS_ENUM_CAP).
     """
     total = solution_count_mod(snf, r)
     limit = _enum_cap(cap)
     if total > limit:
         raise EnumerationCapExceeded(f"{total} solutions exceed the cap of {limit}")
-    cols = snf.cols
-    ranges: list[range] = []
-    for d in snf.divisors:
-        g = gcd(d, r)
-        ranges.append(range(0, r, r // g))
-    for _ in range(cols - snf.rank):
-        ranges.append(range(r))
-    qm = snf.Q.entries
-    return [tuple(sum(map(mul, row, xprime)) % r for row in qm) for xprime in product(*ranges)]
+    generators = [(r // gcd(d, r), gcd(d, r)) for d in snf.divisors]
+    generators += [(1, r)] * (snf.cols - snf.rank)
+    solutions = [(0,) * snf.cols]
+    for column, (step, order) in zip(zip(*snf.Q.entries), generators):
+        if order == 1:
+            continue
+        scaled = [step * q % r for q in column]
+        multiples = list(zip(*[[c * k % r for k in range(order)] for c in scaled]))
+        if len(solutions) == 1:
+            solutions = multiples
+        else:
+            solutions = [
+                tuple([(x + y) % r for x, y in zip(s, m)]) for m in multiples for s in solutions
+            ]
+    return solutions

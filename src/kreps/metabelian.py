@@ -22,6 +22,11 @@ meridian i to R(k_i), where k_i is the even representative of c_i modulo
 2m.  Every relator has zero exponent sum, which forces the residual sign
 D(0)/D(m) to be trivial, so the lifted assignment satisfies all relators
 exactly; ``verify_representation`` checks that on free-word relators.
+
+``enumerate_rep_classes`` keeps each class as its coloring and the even
+lifts as plain ints, and builds the assignment only when it is read.  It
+sorts the classes by coloring itself, since the solution enumeration it
+draws on (``intlinalg.enumerate_solutions_mod``) promises no order.
 """
 
 from __future__ import annotations
@@ -116,10 +121,15 @@ def count_from_colorings(col_p: int, p: int) -> int:
     return (col_p - p) // (2 * p)
 
 
+def _even_lift(coloring: Sequence[int], m: int) -> tuple[int, ...]:
+    """The even representative k_i modulo 2m of each color modulo m."""
+    residues = [c % m for c in coloring]
+    return tuple([c if c % 2 == 0 else c + m for c in residues])
+
+
 def _lift(coloring: Sequence[int], m: int) -> tuple[BinaryDihedralElt, ...]:
     """R(k_i) for the even lift k_i of each color modulo 2m."""
-    residues = [c % m for c in coloring]
-    return tuple(BinaryDihedralElt.r(m, c if c % 2 == 0 else c + m) for c in residues)
+    return tuple([BinaryDihedralElt.r(m, k) for k in _even_lift(coloring, m)])
 
 
 def build_representation(
@@ -183,15 +193,24 @@ def is_irreducible(assignment: Sequence[BinaryDihedralElt]) -> bool:
 @dataclass(frozen=True)
 class RepClass:
     """One conjugacy class: the defining coloring (base generator pinned
-    to 0) and the exact binary dihedral assignment."""
+    to 0) and the even lifts of its colors modulo 2 * modulus, the angles
+    of the exact binary dihedral assignment.  A list of classes is in
+    whatever order its producer gives; ``enumerate_rep_classes`` sorts by
+    coloring."""
 
     modulus: int
     coloring: tuple[int, ...]
-    assignment: tuple[BinaryDihedralElt, ...]
+    angles: tuple[int, ...]
+
+    @property
+    def assignment(self) -> tuple[BinaryDihedralElt, ...]:
+        """Generator i -> R(angles[i]), built on each read."""
+        return tuple([BinaryDihedralElt.r(self.modulus, k) for k in self.angles])
 
 
 def enumerate_rep_classes(form: SNFResult, cap: int | None = None) -> list[RepClass]:
-    """All conjugacy classes of irreducible metabelian SU(2) representations.
+    """All conjugacy classes of irreducible metabelian SU(2) representations,
+    sorted by coloring.
 
     The determinant and the colorings modulo it with the last generator
     pinned to 0 are read from the coloring form of the Alexander matrix
@@ -204,18 +223,23 @@ def enumerate_rep_classes(form: SNFResult, cap: int | None = None) -> list[RepCl
         raise ValueError("expected a positive odd determinant")
     if det == 1:
         return []
-    solutions = [sol + (0,) for sol in enumerate_solutions_mod(form, det, cap=cap)]
+    solutions = enumerate_solutions_mod(form, det, cap=cap)
     if len(solutions) != det:
         raise RuntimeError(
             f"expected {det} base-pinned colorings, found {len(solutions)}"
         )
-    chosen = set()
+    # det is odd, so s != -s for every nonzero s, and s is the smaller of
+    # the pair exactly when its first nonzero color c has c < det - c
+    half = det // 2
+    chosen = []
     for sol in solutions:
-        if all(v == 0 for v in sol):
-            continue
-        negated = tuple((-v) % det for v in sol)
-        chosen.add(min(sol, negated))
+        for c in sol:
+            if c:
+                if c <= half:
+                    chosen.append(sol)
+                break
+    chosen.sort()
     return [
-        RepClass(modulus=det, coloring=coloring, assignment=_lift(coloring, det))
-        for coloring in sorted(chosen)
+        RepClass(modulus=det, coloring=free + (0,), angles=_even_lift(free, det) + (0,))
+        for free in chosen
     ]

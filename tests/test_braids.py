@@ -70,6 +70,14 @@ def test_parse_bounds_run_expansion():
             parse_braid(text, 2)
 
 
+def test_parse_bounds_strand_count():
+    # a knot closure on n strands needs n - 1 letters, so no word within
+    # the letter cap can close to a knot on more strands than this
+    assert parse_braid("", MAX_BRAID_LETTERS + 1).strands == MAX_BRAID_LETTERS + 1
+    with pytest.raises(ValueError, match="strands"):
+        parse_braid("", MAX_BRAID_LETTERS + 2)
+
+
 @st.composite
 def braid_tokens(draw):
     """A token [sign]index[^exp][junk] and the letters it stands for, or

@@ -18,6 +18,7 @@ from kreps.cli import (
     EXIT_NOT_COMMUTING,
     EXIT_OK,
     EXIT_USAGE,
+    _json_text,
     _parse_perm,
     _parse_signs,
     main,
@@ -254,6 +255,17 @@ def test_huge_run_is_a_parse_error(capsys):
     assert err.startswith("error:") and "exceeds" in err
 
 
+def test_huge_strand_counts_are_parse_errors(capsys):
+    import time
+
+    for argv in (("knot", "", "-n", "100000000"), ("surface", "", "-n", "200000", "--fulltwist", "0")):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith("error:") and "strands" in err, argv
+
+
 def test_family_words_over_the_cap_are_refused(capsys):
     import time
 
@@ -286,6 +298,24 @@ def test_full_twist_powers_over_the_cap_are_refused(capsys):
         identity = run(capsys, "surface", braid, "", "-n", strands)
         assert identity[0] == EXIT_OK
         assert run(capsys, "surface", braid, "-n", strands, "--fulltwist", "0") == identity
+
+
+def test_surface_reports_check_commutation_once(capsys, monkeypatch):
+    import kreps.braids as braids
+
+    original = braids.braids_commute
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    patch_kreps_bindings(monkeypatch, original, counted)
+    for argv in (("surface", "1^3", "1^6", "-n", "2", "--rmax", "12", "--json"), ("family", "3", "3", "1", "--json")):
+        calls.clear()
+        report = run_json(capsys, *argv)
+        assert report["censuses"], argv
+        assert len(calls) == 1, argv
 
 
 def test_exit_code_not_a_knot(capsys):
@@ -346,6 +376,18 @@ def test_verify_checks_the_packed_routes_on_long_words(capsys, monkeypatch):
         assert report["failure"].startswith("long braid 1^101 on 2 strands: ")
         monkeypatch.setattr(cli, name, original)
     assert run(capsys, "verify", "--seed", "3", "--trials", "4")[0] == EXIT_OK
+
+
+def test_verify_checks_every_class_on_the_relators(capsys, monkeypatch):
+    import kreps.cli as cli
+
+    for name, message in (("verify_representation", "fails a free-word relator"), ("is_irreducible", "is reducible")):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, lambda *args: False)
+            # the fifth braid of seed 0 is the first with classes
+            code, out, _ = run(capsys, "verify", "--seed", "0", "--trials", "5", "--json")
+        assert code == cli.EXIT_VERIFY_MISMATCH, name
+        assert message in json.loads(out)["failure"], name
 
 
 def test_verify_deterministic(capsys):
@@ -491,3 +533,34 @@ def test_main_family_exit_codes(n, p, m, signs, perm):
         assert result[0] == EXIT_USAGE and result[1] == "", argv
     else:
         assert result[0] in (EXIT_OK, EXIT_USAGE, EXIT_FAMILY_ASSERTION), argv
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+json_strings = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001d11e'), st.characters()),
+    max_size=8,
+)
+json_scalars = st.one_of(
+    st.integers(-(2**200), 2**200), st.booleans(), st.none(), json_strings
+)
+json_trees = st.recursive(
+    st.one_of(json_scalars, st.lists(st.integers(-(2**200), 2**200), max_size=6)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(json_strings, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_trees)
+def test_json_text_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_json_text_refuses_floats_and_keys_that_are_not_strings():
+    for value in (1.5, [1, 2.0], {"a": (3, float("nan"))}, {1: 2}):
+        with pytest.raises(TypeError):
+            _json_text(value)

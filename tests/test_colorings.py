@@ -194,11 +194,6 @@ def test_surface_census_with_identity_matches_closure():
             assert (surf.total, surf.condition_o) == (alg.total, alg.condition_o)
 
 
-def test_surface_census_requires_commuting():
-    with pytest.raises(ValueError):
-        surface_coloring_census(parse_braid("1 2", 3), parse_braid("1", 3), 3)
-
-
 def test_census_consistency_random_twisted_pairs():
     rng = random.Random(45)
     for _ in range(12):

@@ -1,6 +1,6 @@
 import random
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -131,6 +131,41 @@ def test_random_battery_counts_and_enumeration():
         snf = smith_normal_form(a)
         assert solution_count_mod(snf, r) == len(brute)
         assert sorted(enumerate_solutions_mod(snf, r)) == sorted(brute)
+
+
+def unimodular(rng, n):
+    """A random product of elementary integer row operations."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            f = rng.randint(-2, 2)
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    return IntMatrix.from_rows(m, cols=n)
+
+
+def test_enumeration_matches_brute_force_on_non_cyclic_groups():
+    # A = U diag(d) V has divisors d, so the solutions modulo r form
+    # a sum of cyclic groups of orders gcd(d_i, r), plus r for each
+    # zero (free) column; the moduli share only some factors with d
+    rng = random.Random(23)
+    shapes = [(3, 3), (3, 9), (2, 6), (1, 3, 3), (3, 3, 0), (5, 0), (2, 4, 0, 0), (9,)]
+    non_cyclic = 0
+    for _ in range(60):
+        d = rng.choice(shapes)
+        rows = len(d) + rng.randint(0, 1)
+        diag = IntMatrix.from_rows(
+            [[d[i] if i == j else 0 for j in range(len(d))] for i in range(rows)], cols=len(d)
+        )
+        a = unimodular(rng, rows) @ diag @ unimodular(rng, len(d))
+        r = rng.choice([2, 3, 4, 6, 9, 10, 12])
+        snf = smith_normal_form(a)
+        enumerated = enumerate_solutions_mod(snf, r)
+        assert len(enumerated) == len(set(enumerated)) == solution_count_mod(snf, r)
+        assert sorted(enumerated) == sorted(brute_solutions(a, r)), (a.entries, r)
+        orders = [gcd(x, r) for x in d]
+        non_cyclic += sum(g > 1 for g in orders) >= 2
+    assert non_cyclic >= 10
 
 
 def test_random_battery_snf():

@@ -1,8 +1,12 @@
+import importlib.util
 import random
+from itertools import product
+from math import gcd
+from pathlib import Path
 
 import pytest
 
-from kreps.braids import FreeWord, full_twist, parse_braid
+from kreps.braids import FreeWord, full_twist, parse_braid, prime_twist_family
 from kreps.intlinalg import determinantal_divisor
 from kreps.metabelian import (
     BinaryDihedralElt,
@@ -264,3 +268,56 @@ def test_five_strand_family_counts():
     assert det == 81
     assert len(enumerate_rep_classes(form)) == 40
     assert surface_coloring_census(c, b, 3).total == 243
+
+
+# -- the class list against the construction it replaced ------------------------
+
+
+def reference_classes(form):
+    """Every solution modulo det as Q x', the base pinned to 0, min(c, -c)
+    kept, and each color lifted through BinaryDihedralElt.r."""
+    det = determinantal_divisor(form, form.cols)
+    if det == 1:
+        return []
+    ranges = [range(0, det, det // gcd(d, det)) for d in form.divisors]
+    ranges += [range(det)] * (form.cols - form.rank)
+    chosen = set()
+    for xprime in product(*ranges):
+        sol = tuple(sum(q * x for q, x in zip(row, xprime)) % det for row in form.Q.entries)
+        sol += (0,)
+        if any(sol):
+            chosen.add(min(sol, tuple(-v % det for v in sol)))
+    out = []
+    for coloring in sorted(chosen):
+        assignment = tuple(R(det, c if c % 2 == 0 else c + det) for c in coloring)
+        out.append((det, coloring, tuple(elt.angle for elt in assignment), assignment))
+    return out
+
+
+def benchmark_braids(workload):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [parse_braid(argv[1], int(argv[3])) for argv in inputs.make_inputs(workload, 0)]
+
+
+@pytest.mark.parametrize("workload", ["knots", "table"])
+def test_classes_match_the_reference_on_benchmark_knots(workload):
+    for a in benchmark_braids(workload):
+        form = coloring_form(a)
+        got = [(rc.modulus, rc.coloring, rc.angles, rc.assignment) for rc in enumerate_rep_classes(form)]
+        assert got == reference_classes(form), str(a)
+
+
+def test_classes_match_the_reference_on_family_surfaces():
+    pairs = [
+        (parse_braid("1^3 2^3", 3), full_twist(3) ** 2),
+        prime_twist_family(4, 3, (1, 1, 1), None, 1),
+        prime_twist_family(3, 3, (1, 1), None, -1),
+        prime_twist_family(5, 3, (1, 1, 1, 1), None, 1),
+    ]
+    for c, b in pairs:
+        form = coloring_form(c, b)
+        got = [(rc.modulus, rc.coloring, rc.angles, rc.assignment) for rc in enumerate_rep_classes(form)]
+        assert got == reference_classes(form), (str(c), str(b))
