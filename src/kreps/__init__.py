@@ -23,6 +23,7 @@ from .braids import (
 from .colorings import (
     Coloring,
     ColoringCensus,
+    ProfileRow,
     colorability_profile,
     coloring_census,
     diagram_census_brute,

@@ -241,8 +241,21 @@ def closure_permutation(a: BraidWord) -> Permutation:
 
 
 def closure_component_count(a: BraidWord) -> int:
-    """Number of components of the braid closure; 1 means a knot."""
-    return len(closure_permutation(a).cycles())
+    """Number of components of the braid closure, the cycles of its
+    permutation, counted in one walk that marks each visited slot; 1
+    means a knot."""
+    slots = list(range(a.strands))
+    for letter in a.letters:
+        i = abs(letter) - 1
+        slots[i], slots[i + 1] = slots[i + 1], slots[i]
+    count = 0
+    for start in range(a.strands):
+        if slots[start] >= 0:
+            count += 1
+            at = start
+            while slots[at] >= 0:
+                slots[at], at = -1, slots[at]
+    return count
 
 
 def random_knot_braid(rng: random.Random, max_strands: int, max_len: int) -> BraidWord:

@@ -33,6 +33,7 @@ from .braids import (
     random_knot_braid,
 )
 from .colorings import (
+    ProfileRow,
     coloring_census,
     colorability_profile,
     diagram_census_brute,
@@ -50,6 +51,7 @@ from .intlinalg import (
 )
 from .laurent import laurent_minor_gcd, poly_str
 from .metabelian import (
+    RepClass,
     count_irreducible_metabelian,
     enumerate_rep_classes,
     is_irreducible,
@@ -82,31 +84,61 @@ class PipelineError(Exception):
         self.code = code
 
 
-def _classes_payload(classes) -> list[dict[str, Any]]:
-    return [
-        {
-            "modulus": rc.modulus,
-            "coloring": list(rc.coloring),
-            "angles": list(rc.angles),
-        }
-        for rc in classes
-    ]
+# Miller-Rabin to the first 13 prime bases is exact below _MR_EXACT_BELOW
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+# trial division stops here, after about 0.1 s
+_TRIAL_BOUND = 10**6
 
 
-def _profile_payload(profile: list[tuple[int, int]]) -> list[dict[str, int]]:
-    return [{"r": r, "total": r * cond, "condition_o": cond} for r, cond in profile]
+def _proven_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin to the bases ``_MR_BASES``; False
+    for every n >= ``_MR_EXACT_BELOW``, where the test would not be a proof."""
+    if n < 2 or n >= _MR_EXACT_BELOW:
+        return False
+    if n in _MR_BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _odd_prime_factors(n: int) -> list[int]:
+    """The distinct odd prime factors of n >= 1, ascending.
+
+    Trial division stops once the cofactor is 1 or ``_proven_prime``.  A
+    cofactor that is still unresolved at ``_TRIAL_BOUND`` is refused with a
+    ValueError rather than factored further."""
+    while n % 2 == 0:
+        n //= 2
     out = []
     d = 3
-    while d * d <= n:
+    resolved = n == 1 or _proven_prime(n)
+    while not resolved and d * d <= n:
+        if d > _TRIAL_BOUND:
+            raise ValueError(
+                f"cannot factor the determinant: its cofactor {n} has no factor "
+                f"below {_TRIAL_BOUND} and is not provably prime"
+            )
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            resolved = n == 1 or _proven_prime(n)
         d += 2
-    if n > 2:
+    if n > 1:
         out.append(n)
     return out
 
@@ -117,10 +149,8 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
     form = coloring_form(a)
     poly = knot_poly(a)
     det = determinantal_divisor(form, form.cols)
-    oracle = burau_alexander(a)
-    fox_normal = poly_str(poly)
     checks = {
-        "burau_matches_fox": fox_normal == poly_str(oracle),
+        "burau_matches_fox": poly == burau_alexander(a),
         "determinant_matches_poly": det == abs(poly.evaluate(-1)),
     }
     classes = enumerate_rep_classes(form)
@@ -129,15 +159,14 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
     report: dict[str, Any] = {
         "input": {"kind": "knot", "braid": str(a), "strands": a.strands},
         "determinant": str(det),
-        "alexander_poly": fox_normal,
+        "alexander_poly": poly_str(poly),
         "rep_count": rep_count,
-        "classes": _classes_payload(classes),
+        "classes": classes,
         "colorings": [],
         "checks": checks,
     }
     if rmax is not None:
-        profile = colorability_profile(form, rmax)
-        report["colorings"] = _profile_payload(profile)
+        report["colorings"] = colorability_profile(form, rmax)
     return report
 
 
@@ -189,14 +218,13 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
         "determinant": str(det),
         "alexander_poly": poly_str(poly) if not poly.is_zero else "0",
         "rep_count": rep_count,
-        "classes": _classes_payload(classes),
+        "classes": classes,
         "colorings": [],
         "censuses": censuses,
         "checks": checks,
     }
     if rmax is not None:
-        profile = colorability_profile(form, rmax)
-        report["colorings"] = _profile_payload(profile)
+        report["colorings"] = profile = colorability_profile(form, rmax)
         # when the profile certifies only-p-colorability, the coloring
         # count determines the class count as (total - p) / (2p)
         for prime, census in transported.items():
@@ -471,12 +499,9 @@ def _print_table(report: dict[str, Any], stream) -> None:
         if key in report:
             line(key, report[key])
     for rc in report.get("classes", []):
-        line(
-            "class",
-            f"mod {rc['modulus']}  coloring {rc['coloring']}  angles {rc['angles']}",
-        )
-    for entry in report.get("colorings", []):
-        line("colorings", f"r={entry['r']}  total={entry['total']}  condition_o={entry['condition_o']}")
+        line("class", f"mod {rc.modulus}  coloring {list(rc.coloring)}  angles {list(rc.angles)}")
+    for row in report.get("colorings", []):
+        line("colorings", f"r={row.r}  total={row.total}  condition_o={row.condition_o}")
     for entry in report.get("censuses", []):
         line(
             "census",
@@ -493,17 +518,43 @@ def _print_table(report: dict[str, Any], stream) -> None:
             line(key, report[key])
 
 
+def _ints_text(values: Sequence[int], pad: str) -> str:
+    """A list of ints nested at the indentation ``pad``, written with one
+    join; an item that is not an int raises TypeError."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    return f"[\n{inner}{sep.join(map(int.__repr__, values))}\n{pad}]"
+
+
 def _json_text(value: Any, pad: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` nested at the
     indentation ``pad``, for the types a report holds: dicts with string
-    keys, lists and tuples, strings, ints, booleans and None; any other
-    type raises TypeError.
+    keys, lists and tuples, strings, ints, booleans and None, and the two
+    record types a report is mostly made of, ``RepClass`` and
+    ``ProfileRow``, written as the dicts of their fields (and a profile
+    row's ``total``); any other type raises TypeError.
 
-    A list of plain ints, the bulk of a report, is written with one join.
+    A record is written by one template over its sorted keys, and a list
+    of plain ints by one join.
     """
-    if type(value) is int:
+    kind = type(value)
+    if kind is int:
         return int.__repr__(value)
     inner = pad + "  "
+    if kind is RepClass:
+        return (
+            f'{{\n{inner}"angles": {_ints_text(value.angles, inner)},'
+            f'\n{inner}"coloring": {_ints_text(value.coloring, inner)},'
+            f'\n{inner}"modulus": {int.__repr__(value.modulus)}\n{pad}}}'
+        )
+    if kind is ProfileRow:
+        return (
+            f'{{\n{inner}"condition_o": {int.__repr__(value.condition_o)},'
+            f'\n{inner}"r": {int.__repr__(value.r)},'
+            f'\n{inner}"total": {int.__repr__(value.total)}\n{pad}}}'
+        )
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -516,9 +567,8 @@ def _json_text(value: Any, pad: str = "") -> str:
         if not value:
             return "[]"
         if set(map(type, value)) == {int}:
-            body = (",\n" + inner).join(map(int.__repr__, value))
-        else:
-            body = (",\n" + inner).join([_json_text(item, inner) for item in value])
+            return _ints_text(value, pad)
+        body = (",\n" + inner).join([_json_text(item, inner) for item in value])
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(value, str):
         return encode_basestring_ascii(value)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .braids import BraidWord
 from .intlinalg import (
@@ -185,7 +185,20 @@ def surface_coloring_census(
     )
 
 
-def colorability_profile(form: SNFResult, r_max: int) -> list[tuple[int, int]]:
+class ProfileRow(NamedTuple):
+    """One row of a colorability profile: the modulus r and the number of
+    colorings mod r with the base generator colored 0."""
+
+    r: int
+    condition_o: int
+
+    @property
+    def total(self) -> int:
+        """The number of all colorings mod r, one per translate."""
+        return self.r * self.condition_o
+
+
+def colorability_profile(form: SNFResult, r_max: int) -> list[ProfileRow]:
     """Condition-O coloring counts of the coloring form for r = 2..r_max.
 
     The form agrees with the transport census (a separately tested
@@ -194,7 +207,7 @@ def colorability_profile(form: SNFResult, r_max: int) -> list[tuple[int, int]]:
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    return [(r, solution_count_mod(form, r)) for r in range(2, r_max + 1)]
+    return [ProfileRow(r, solution_count_mod(form, r)) for r in range(2, r_max + 1)]
 
 
 def diagram_census_brute(

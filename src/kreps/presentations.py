@@ -45,8 +45,9 @@ them at t = -1:
   headroom.  Without the re-sizing k would have to grow like L log2(3)
   bits for a word of L letters, and every value with it.
 * A determinant of packed rows is one integer determinant, with the rows
-  first repacked if needed so that T/2 exceeds the product of their
-  bounds, which bounds every coefficient of the determinant.
+  first repacked if needed so that T/4 exceeds the product of their
+  bounds, which bounds every coefficient of the determinant.  The Burau
+  route divides it by 1 - t^n as one integer divmod at that width.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .intlinalg import IntMatrix, SNFResult, int_det, smith_normal_form
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
-    exact_div,
     laurent_minor_gcd,
     normalize_unit,
 )
@@ -397,18 +397,30 @@ def _minus_identity(
     return k, out, powers, [b + 1 for b in bounds]
 
 
-def _packed_det(
-    rows: list[list[int]], powers: Sequence[int], bounds: Sequence[int], k: int
-) -> LaurentPoly:
-    """Determinant of the square matrix whose row i is t^-powers[i] times
-    the polynomials packed as rows[i] at 2^k, of l1 norm at most bounds[i].
-    Every coefficient of the determinant is at most prod(bounds)."""
+def _packed_int_det(rows: list[list[int]], bounds: Sequence[int], k: int) -> tuple[int, int]:
+    """(det, k'): the determinant of the square matrix of polynomials packed
+    as rows at 2^k, row i of l1 norm at most bounds[i], packed at 2^k'.
+
+    The l1 norm of a product is at most the product of the l1 norms, so
+    the l1 norm of the determinant, a signed sum of products with one entry
+    from each row, is at most prod(bounds); the rows are first repacked
+    to k' = ``_width(prod(bounds))`` when k is narrower, which keeps every
+    coefficient below 2^(k'-2)."""
     wide = _width(prod(bounds))
     if wide > k:
         rows = [[_pack(_unpack(v, k), wide) for v in row] for row in rows]
         k = wide
     size = len(rows)
-    return _to_poly(int_det(IntMatrix(size, size, tuple(map(tuple, rows)))), sum(powers), k)
+    return int_det(IntMatrix(size, size, tuple(map(tuple, rows)))), k
+
+
+def _packed_det(
+    rows: list[list[int]], powers: Sequence[int], bounds: Sequence[int], k: int
+) -> LaurentPoly:
+    """Determinant of the square matrix whose row i is t^-powers[i] times
+    the polynomials packed as rows[i] at 2^k, of l1 norm at most bounds[i]."""
+    det, k = _packed_int_det(rows, bounds, k)
+    return _to_poly(det, sum(powers), k)
 
 
 def burau_alexander(a: BraidWord) -> LaurentPoly:
@@ -426,8 +438,21 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
         +k:  col_k <- -t col_k + t col_{k-1} + col_{k+1}
         -k:  col_k <- -t^-1 col_k + col_{k-1} + t^-1 col_{k+1}
 
-    The columns are packed (``_burau_columns``), and det(I - B) is one
-    integer determinant of them.
+    The columns are packed (``_burau_columns``), det(I - B) = t^-s c(t),
+    s = sum(powers), is one integer determinant of them, c(T), and the
+    division is one integer divmod at T = 2^k, unpacked once:
+
+    * Let P = prod(bounds).  ``_packed_int_det`` gives ||c||_1 <= P and a
+      width with P < 2^(k-2), so f = c (1 - t) has ||f||_1 <= 2P < 2^(k-1).
+    * If f = (1 - t^n) q, then f_i = q_i - q_(i-n), so q_i is the sum of
+      f_j over j <= i with j = i (mod n): a partial sum of the numerator's
+      coefficients, and |q_i| <= ||f||_1 < 2^(k-1).  Then f(T) = (1 -
+      T^n) q(T) with q(T) in balanced base-T digits, so the integer
+      quotient unpacks to q exactly.
+    * Otherwise f = (1 - t^n) q + r with r != 0 of degree below n, each r_i
+      a sum of f_j over one residue class mod n, so |r_i| < 2^(k-1) <= T/2
+      and 0 < |r(T)| < T^n - 1 = |1 - T^n|: the integer division leaves
+      a nonzero remainder, which raises.
     """
     if closure_component_count(a) != 1:
         raise ValueError("the closure is not a knot")
@@ -435,10 +460,11 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
     if n == 1:
         return LaurentPoly.one()
     k, cols, powers, bounds = _minus_identity(_burau_columns(a))
-    char = _packed_det(cols, powers, bounds, k)
-    numerator = char * (LaurentPoly.one() - LaurentPoly.t())
-    denominator = LaurentPoly.one() - LaurentPoly.t(n)
-    return normalize_unit(exact_div(numerator, denominator))
+    char, k = _packed_int_det(cols, bounds, k)
+    quotient, remainder = divmod(char - (char << k), 1 - (1 << k * n))
+    if remainder:
+        raise ValueError("non-exact polynomial division")
+    return normalize_unit(_to_poly(quotient, sum(powers), k))
 
 
 def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:

@@ -154,6 +154,19 @@ def test_component_counts():
     assert closure_component_count(parse_braid("1^2", 2)) == 2
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.integers(1, max(n - 1, 1)).flatmap(lambda g: st.sampled_from((g, -g))),
+            max_size=20 if n > 1 else 0,
+        ).map(lambda letters: BraidWord(n, tuple(letters)))
+    )
+)
+def test_component_count_is_the_cycle_count_of_the_permutation(a):
+    assert closure_component_count(a) == len(closure_permutation(a).cycles())
+
+
 # -- the free-group action -------------------------------------------------
 
 

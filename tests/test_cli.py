@@ -19,10 +19,13 @@ from kreps.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _json_text,
+    _odd_prime_factors,
     _parse_perm,
     _parse_signs,
     main,
 )
+from kreps.colorings import ProfileRow
+from kreps.metabelian import RepClass
 
 
 def run(capsys, *argv):
@@ -77,11 +80,71 @@ def test_knot_profile(capsys):
     assert profile[4]["condition_o"] == 1
 
 
+FIGURE_EIGHT_TABLE = """\
+input.kind               knot
+input.braid              1 -2 1 -2
+input.strands            3
+determinant              5
+alexander_poly           1 - 3*t + t^2
+rep_count                2
+class                    mod 5  coloring [1, 4, 0]  angles [6, 4, 0]
+class                    mod 5  coloring [2, 3, 0]  angles [2, 8, 0]
+colorings                r=2  total=2  condition_o=1
+colorings                r=3  total=3  condition_o=1
+colorings                r=4  total=4  condition_o=1
+colorings                r=5  total=25  condition_o=5
+colorings                r=6  total=6  condition_o=1
+colorings                r=7  total=7  condition_o=1
+colorings                r=8  total=8  condition_o=1
+colorings                r=9  total=9  condition_o=1
+check.burau_matches_fox  True
+check.determinant_matches_poly True
+check.class_count_matches_determinant True
+"""
+
+SURFACE_TABLE = """\
+input.kind               surface
+input.braid_a            1 1 1 2 2 2
+input.braid_b            1 2 1 2 1 2 1 2 1 2 1 2
+input.strands            3
+determinant              9
+alexander_poly           1 - 2*t + 3*t^2 - 2*t^3 + t^4
+rep_count                4
+class                    mod 9  coloring [0, 3, 0]  angles [0, 12, 0]
+class                    mod 9  coloring [3, 0, 0]  angles [12, 0, 0]
+class                    mod 9  coloring [3, 3, 0]  angles [12, 12, 0]
+class                    mod 9  coloring [3, 6, 0]  angles [12, 6, 0]
+colorings                r=2  total=2  condition_o=1
+colorings                r=3  total=27  condition_o=9
+colorings                r=4  total=4  condition_o=1
+colorings                r=5  total=5  condition_o=1
+colorings                r=6  total=54  condition_o=9
+colorings                r=7  total=7  condition_o=1
+colorings                r=8  total=8  condition_o=1
+colorings                r=9  total=81  condition_o=9
+colorings                r=10  total=10  condition_o=1
+colorings                r=11  total=11  condition_o=1
+colorings                r=12  total=108  condition_o=9
+census                   r=3  total=27  condition_o=9  nondegenerate=True
+check.determinant_odd    True
+check.class_count_matches_determinant True
+check.base_knot_determinant 9
+check.census_consistent_mod_3 True
+check.only_3_count_rule  True
+"""
+
+
 def test_knot_table_output(capsys):
-    code, out, _ = run(capsys, "knot", "1^3", "-n", "2")
-    assert code == EXIT_OK
-    assert "determinant" in out
-    assert "3" in out
+    assert run(capsys, "knot", "1 -2 1 -2", "-n", "3", "--rmax", "9") == (
+        EXIT_OK, FIGURE_EIGHT_TABLE, "")
+    # (1 -2)^3 closes to the Borromean rings, a link
+    assert run(capsys, "knot", "1 -2 1 -2 1 -2", "-n", "3", "--rmax", "9") == (
+        EXIT_NOT_A_KNOT, "", "error: the closure of the braid is not a knot\n")
+
+
+def test_surface_table_output(capsys):
+    argv = ("surface", "1^3 2^3", "--fulltwist", "2", "-n", "3", "--rmax", "12")
+    assert run(capsys, *argv) == (EXIT_OK, SURFACE_TABLE, "")
 
 
 def test_surface_pair(capsys):
@@ -206,6 +269,9 @@ def test_knot_report_takes_one_minor(capsys, monkeypatch):
     for name in calls:
         patch_kreps_bindings(monkeypatch, *counter(name))
     monkeypatch.setattr(laurent.LaurentMatrix, "__post_init__", refuse)
+    # the Burau division is one integer divmod
+    patch_kreps_bindings(monkeypatch, laurent.exact_div, refuse)
+    monkeypatch.setattr(laurent.LaurentPoly, "__mul__", refuse)
     assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
     # the minor and the Burau determinant are integer determinants
     assert calls == {"laurent_det": 0, "poly_gcd": 0}
@@ -241,6 +307,40 @@ def test_exit_code_family_assertion(capsys, monkeypatch):
     code, _, err = run(capsys, "family", "2", "3", "1", "--json")
     assert code == EXIT_FAMILY_ASSERTION
     assert "diverged" in err
+
+
+def test_odd_prime_factors_match_trial_division():
+    def reference(n):
+        return [d for d in range(3, n + 1, 2) if n % d == 0 and all(d % e for e in range(3, d, 2))]
+
+    for n in range(1, 2000):
+        assert _odd_prime_factors(n) == reference(n), n
+    assert _odd_prime_factors(3**5 * 5 * 999_983**2 * 1_000_003) == [3, 5, 999_983, 1_000_003]
+
+
+def test_large_determinants_are_factored_or_refused_at_once():
+    import time
+
+    prime = 1_000_000_000_000_000_009
+    start = time.perf_counter()
+    assert _odd_prime_factors(prime) == [prime]
+    assert _odd_prime_factors(3 * 5 * prime) == [3, 5, prime]
+    with pytest.raises(ValueError, match="cannot factor the determinant"):
+        _odd_prime_factors((10**9 + 7) * (10**9 + 9))
+    # beyond 3.3e24 Miller-Rabin with fixed bases proves nothing
+    with pytest.raises(ValueError, match="cannot factor the determinant"):
+        _odd_prime_factors(2**89 - 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_unfactored_determinants_exit_1(capsys, monkeypatch):
+    import kreps.cli as cli
+
+    # with no trial divisors, the determinant 9 = 3 * 3 cannot be factored
+    monkeypatch.setattr(cli, "_TRIAL_BOUND", 1)
+    code, out, err = run(capsys, "surface", "1^3 2^3", "--fulltwist", "2", "-n", "3", "--json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: cannot factor the determinant")
 
 
 def test_exit_code_parse_error(capsys):
@@ -554,13 +654,60 @@ json_trees = st.recursive(
 )
 
 
+json_ints = st.integers(-(2**200), 2**200)
+int_tuples = st.lists(json_ints, max_size=5).map(tuple)
+json_records = st.one_of(
+    st.builds(RepClass, json_ints, int_tuples, int_tuples),
+    st.builds(ProfileRow, json_ints, json_ints),
+)
+json_record_trees = st.recursive(
+    st.one_of(json_scalars, json_records, st.lists(json_records, max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(json_strings, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def as_plain(value):
+    """The tree with each record replaced by the dict a report writes for it."""
+    if isinstance(value, RepClass):
+        return {"modulus": value.modulus, "coloring": list(value.coloring), "angles": list(value.angles)}
+    if isinstance(value, ProfileRow):
+        return {"r": value.r, "total": value.total, "condition_o": value.condition_o}
+    if isinstance(value, dict):
+        return {key: as_plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_plain(item) for item in value]
+    return value
+
+
 @settings(max_examples=100, deadline=None)
 @given(json_trees)
 def test_json_text_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
+@settings(max_examples=150, deadline=None)
+@given(json_record_trees)
+def test_json_text_writes_records_as_their_dicts(tree):
+    assert _json_text(tree) == json.dumps(as_plain(tree), indent=2, sort_keys=True)
+
+
 def test_json_text_refuses_floats_and_keys_that_are_not_strings():
     for value in (1.5, [1, 2.0], {"a": (3, float("nan"))}, {1: 2}):
         with pytest.raises(TypeError):
             _json_text(value)
+    records = (
+        RepClass(3, (1, 0), (4, 0.5)),
+        RepClass(3, (1.0, 0), (4, 0)),
+        RepClass(3.0, (1, 0), (4, 0)),
+        ProfileRow(2.0, 1),
+        ProfileRow(2, 1.5),
+    )
+    for record in records:
+        for value in (record, [record], {"a": [1, record]}):
+            with pytest.raises(TypeError):
+                _json_text(value)

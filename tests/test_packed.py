@@ -18,7 +18,14 @@ from kreps.braids import (
 )
 from kreps.cli import _LONG_WORDS
 from kreps.intlinalg import IntMatrix, enumerate_solutions_mod, smith_normal_form
-from kreps.laurent import LaurentMatrix, LaurentPoly, laurent_det, laurent_minor_gcd, normalize_unit
+from kreps.laurent import (
+    LaurentMatrix,
+    LaurentPoly,
+    exact_div,
+    laurent_det,
+    laurent_minor_gcd,
+    normalize_unit,
+)
 from kreps.presentations import (
     _burau_columns,
     _jacobian_rows,
@@ -293,3 +300,60 @@ def test_packed_routes_match_the_laurent_minor_with_narrow_headroom():
             expected = laurent_minor(a)
             assert knot_poly(a) == expected, a
             assert burau_alexander(a) == expected, a
+
+
+# -- the Burau division ------------------------------------------------------------
+
+
+def laurent_burau_alexander(a):
+    """det(I - B) (1 - t) / (1 - t^n), normalized, by the Laurent rule and
+    ``exact_div``."""
+    n = a.strands
+    cols = laurent_burau_columns(a)
+    grid = [[(one if i == j else LaurentPoly.zero()) - cols[j][i] for j in range(n - 1)]
+            for i in range(n - 1)]
+    char = laurent_det(LaurentMatrix(n - 1, n - 1, tuple(map(tuple, grid))))
+    return normalize_unit(exact_div(char * (one - t), one - LaurentPoly.t(n)))
+
+
+knot_words = words(7, 24).filter(lambda a: closure_component_count(a) == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(knot_words, st.booleans())
+def test_burau_division_matches_the_laurent_rule(a, narrow):
+    with headroom(narrow):
+        assert burau_alexander(a) == laurent_burau_alexander(a), a
+
+
+def test_burau_division_matches_the_laurent_rule_on_words_that_resize():
+    for text, strands in _LONG_WORDS:
+        a = parse_braid(text, strands)
+        assert burau_alexander(a) == laurent_burau_alexander(a), a
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.lists(st.integers(-60, 60), max_size=10),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_burau_division_raises_exactly_when_the_laurent_division_does(n, cs, divisible, power):
+    # a polynomial as det(I - B), with the width the determinant would get;
+    # the division is exact when it is a multiple of 1 + t + ... + t^(n-1)
+    if divisible:
+        cs = [sum(cs[e - i] for i in range(n) if 0 <= e - i < len(cs)) for e in range(len(cs) + n - 1)]
+    c = LaurentPoly({e - power: v for e, v in enumerate(cs)})
+    k = _width(max(sum(map(abs, cs)), 1))
+    knot = BraidWord(n, tuple(range(1, n)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(presentations, "_packed_int_det", lambda cols, bounds, width: (_pack(cs, k), k))
+        mp.setattr(presentations, "_minus_identity", lambda packed: (8, [], [power], []))
+        try:
+            expected = normalize_unit(exact_div(c * (one - t), one - LaurentPoly.t(n)))
+        except ValueError:
+            with pytest.raises(ValueError):
+                burau_alexander(knot)
+        else:
+            assert burau_alexander(knot) == expected
