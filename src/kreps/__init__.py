@@ -3,6 +3,10 @@ knots spanned by commuting braid pairs: Alexander matrices and
 determinants, Fox coloring censuses, and irreducible metabelian SU(2)
 representation classes, all in integer arithmetic.
 
+The slower, independent routes that cross-check these numbers, and the
+``kreps verify`` sweep, live in ``kreps.oracles``; no report uses them,
+so they are imported from there and not exported here.
+
 All values are immutable and all operations are pure functions, so the
 whole API is safe to call concurrently.
 """
@@ -10,24 +14,19 @@ whole API is safe to call concurrently.
 from .braids import (
     BraidWord,
     FreeWord,
-    Permutation,
     artin_act,
     braids_commute,
     closure_component_count,
-    closure_permutation,
     full_twist,
     parse_braid,
     prime_twist_family,
     random_knot_braid,
 )
 from .colorings import (
-    Coloring,
     ColoringCensus,
     ProfileRow,
     colorability_profile,
     coloring_census,
-    diagram_census_brute,
-    dihedral_op,
     dihedral_transport,
     generated_subgroup,
     is_p_colorable,
@@ -40,7 +39,6 @@ from .intlinalg import (
     determinantal_divisor,
     enumerate_solutions_mod,
     int_det,
-    minor_gcd,
     smith_normal_form,
     solution_count_mod,
 )
@@ -59,28 +57,16 @@ from .metabelian import (
     RepClass,
     bd_inv,
     bd_mul,
-    build_representation,
     count_from_colorings,
     count_irreducible_metabelian,
     enumerate_rep_classes,
-    is_irreducible,
-    verify_representation,
 )
 from .presentations import (
-    ClosureDiagram,
-    Crossing,
-    Presentation,
     alexander_matrix,
     alexander_poly,
     burau_alexander,
-    closure_diagram,
-    closure_presentation,
     coloring_form,
-    coloring_matrix,
-    fox_derivative_abelianized,
-    fox_matrix,
     knot_poly,
-    torus_covering_presentation,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Braid words, closure permutations, and the punctured-disk action.
+"""Braid words, the component count of their closures, and the
+punctured-disk action.
 
 Conventions, fixed once for the whole package:
 
@@ -162,9 +163,6 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
 
-    def exponent_sum(self) -> int:
-        return sum(1 if x > 0 else -1 for x in self.letters)
-
     def weighted_exponent_sum(self, weights: Sequence[int]) -> int:
         total = 0
         for x in self.letters:
@@ -179,65 +177,6 @@ class FreeWord:
         for x in self.letters:
             parts.append(f"t{abs(x)}" if x > 0 else f"t{abs(x)}^-1")
         return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on slots 0..n-1; image[s] is where slot s is sent."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "image", tuple(int(x) for x in self.image))
-        n = len(self.image)
-        if sorted(self.image) != list(range(n)):
-            raise ValueError("image is not a bijection")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.image))
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """The composite 'self first, then other'."""
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(other.image[v] for v in self.image))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.size
-        out: list[tuple[int, ...]] = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            cur = self.image[start]
-            while cur != start:
-                seen[cur] = True
-                cyc.append(cur)
-                cur = self.image[cur]
-            out.append(tuple(cyc))
-        return out
-
-
-def closure_permutation(a: BraidWord) -> Permutation:
-    """Underlying permutation of the braid: starting slot to ending slot."""
-    start = list(range(a.strands))  # start[p]: where the strand now at slot p started
-    for letter in a.letters:
-        i = abs(letter) - 1
-        start[i], start[i + 1] = start[i + 1], start[i]
-    image = [0] * a.strands
-    for slot, s in enumerate(start):
-        image[s] = slot
-    return Permutation(tuple(image))
 
 
 def closure_component_count(a: BraidWord) -> int:

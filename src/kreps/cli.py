@@ -11,13 +11,15 @@ Commands:
 Exit codes: 0 ok, 1 parse or usage error, 2 closure is not a knot,
 3 basis braids do not commute, 4 family assertion failed, 5 verify sweep
 found a mismatch.
+
+The oracles and the ``verify`` sweep live in ``kreps.oracles``, which
+``main`` imports only to run ``verify``; no report loads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
@@ -30,44 +32,28 @@ from .braids import (
     full_twist,
     parse_braid,
     prime_twist_family,
-    random_knot_braid,
 )
 from .colorings import (
     ProfileRow,
     coloring_census,
     colorability_profile,
-    diagram_census_brute,
     is_p_colorable,
     surface_coloring_census,
 )
-from .intlinalg import (
-    EnumerationCapExceeded,
-    IntMatrix,
-    determinantal_divisor,
-    enumerate_solutions_mod,
-    minor_gcd,
-    smith_normal_form,
-    solution_count_mod,
-)
-from .laurent import laurent_minor_gcd, poly_str
+from .intlinalg import EnumerationCapExceeded, determinantal_divisor
+from .laurent import poly_str
 from .metabelian import (
     RepClass,
+    count_from_colorings,
     count_irreducible_metabelian,
     enumerate_rep_classes,
-    is_irreducible,
-    verify_representation,
 )
 from .presentations import (
     alexander_matrix,
     alexander_poly,
     burau_alexander,
-    closure_diagram,
-    closure_presentation,
     coloring_form,
-    coloring_matrix,
-    fox_matrix,
     knot_poly,
-    torus_covering_presentation,
 )
 
 EXIT_OK = 0
@@ -147,15 +133,17 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the braid is not a knot", EXIT_NOT_A_KNOT)
     form = coloring_form(a)
-    poly = knot_poly(a)
     det = determinantal_divisor(form, form.cols)
+    # the classes come from the form alone, so a word whose classes exceed
+    # the enumeration cap is refused before the polynomial routes run
+    classes = enumerate_rep_classes(form)
+    poly = knot_poly(a)
+    rep_count = count_irreducible_metabelian(det)
     checks = {
         "burau_matches_fox": poly == burau_alexander(a),
         "determinant_matches_poly": det == abs(poly.evaluate(-1)),
+        "class_count_matches_determinant": rep_count == len(classes),
     }
-    classes = enumerate_rep_classes(form)
-    rep_count = count_irreducible_metabelian(det)
-    checks["class_count_matches_determinant"] = rep_count == len(classes)
     report: dict[str, Any] = {
         "input": {"kind": "knot", "braid": str(a), "strands": a.strands},
         "determinant": str(det),
@@ -171,10 +159,12 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
 
 
 def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, Any]:
-    if not braids_commute(a, b):
-        raise PipelineError("basis braids do not commute", EXIT_NOT_COMMUTING)
+    # the knot check is one walk over the strands; the commutation check
+    # compares free-group images, which grow exponentially with the words
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the first braid is not a knot", EXIT_NOT_A_KNOT)
+    if not braids_commute(a, b):
+        raise PipelineError("basis braids do not commute", EXIT_NOT_COMMUTING)
     form = coloring_form(a, b)
     poly = alexander_poly(alexander_matrix(a, b))
     det = determinantal_divisor(form, form.cols)
@@ -226,7 +216,8 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
     if rmax is not None:
         report["colorings"] = profile = colorability_profile(form, rmax)
         # when the profile certifies only-p-colorability, the coloring
-        # count determines the class count as (total - p) / (2p)
+        # count determines the class count; base, the count mod p, is a
+        # power of p, so count_from_colorings accepts p * base
         for prime, census in transported.items():
             if rmax < 2 * prime:
                 continue
@@ -236,7 +227,7 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
                 continue
             checks[f"only_{prime}_count_rule"] = (
                 census.total == prime * base
-                and (census.total - prime) // (2 * prime) == rep_count
+                and count_from_colorings(census.total, prime) == rep_count
             )
     return report
 
@@ -278,212 +269,6 @@ def family_report(
             EXIT_FAMILY_ASSERTION,
         )
     return report
-
-
-# -- randomized oracle sweep ------------------------------------------------
-
-
-def _braid_mismatch(a: BraidWord) -> str | None:
-    """All per-braid cross-checks; returns a description of the first
-    failure, or None."""
-    matrix = alexander_matrix(a)
-    presentation = closure_presentation(a)
-    if matrix != fox_matrix(presentation).without_zero_rows():
-        return "burau-built matrix != fox matrix of the free-word presentation"
-    form = coloring_form(a)
-    poly = knot_poly(a)
-    det = determinantal_divisor(form, form.cols)
-    routes = {
-        "base-column gcd": alexander_poly(matrix),
-        "all-minors gcd": laurent_minor_gcd(matrix, matrix.cols - 1),
-        "reduced burau": burau_alexander(a),
-    }
-    for route, other in routes.items():
-        if other != poly:
-            return f"knot minor {poly_str(poly)} != {route} {poly_str(other)}"
-    if det != abs(poly.evaluate(-1)):
-        return f"determinant {det} != |poly(-1)|"
-    for rc in enumerate_rep_classes(form):
-        if not verify_representation(presentation, rc.assignment):
-            return f"class of coloring {rc.coloring} fails a free-word relator"
-        if not is_irreducible(rc.assignment):
-            return f"class of coloring {rc.coloring} is reducible"
-    full = smith_normal_form(IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols))
-    if det != determinantal_divisor(full, matrix.cols - 1):
-        return f"form determinant {det} != divisor of the full matrix"
-    diagram = closure_diagram(a)
-    cmatrix = coloring_matrix(diagram)
-    c_snf = smith_normal_form(IntMatrix.from_rows(cmatrix.evaluate(-1), cols=cmatrix.cols))
-    for back in range(1, min(matrix.cols, cmatrix.cols) + 1):
-        lhs = determinantal_divisor(full, matrix.cols - back)
-        rhs = determinantal_divisor(c_snf, cmatrix.cols - back)
-        if lhs != rhs:
-            return f"divisor mismatch at depth {back}: {lhs} != {rhs}"
-    for r in range(2, 8):
-        algebraic = coloring_census(form, r)
-        transported = surface_coloring_census(a, BraidWord.identity(a.strands), r)
-        brute = diagram_census_brute(diagram, r)
-        if not (
-            algebraic.total == transported.total == brute.total
-            and algebraic.condition_o == transported.condition_o == brute.condition_o
-        ):
-            return (
-                f"census mismatch at r={r}: matrix {algebraic.total}/{algebraic.condition_o}, "
-                f"transport {transported.total}/{transported.condition_o}, "
-                f"diagram {brute.total}/{brute.condition_o}"
-            )
-    return None
-
-
-# knot words long enough that the packed Burau rules re-size their digits,
-# which the short random braids of the sweep never do
-_LONG_WORDS = (("1^101", 2), (" ".join(["1 -2"] * 61), 3), ("1^61 2 3 4 5", 6))
-
-
-def _long_word_mismatch(a: BraidWord) -> str | None:
-    """The packed routes against the all-minors gcd; returns a description
-    of the first failure, or None."""
-    matrix = alexander_matrix(a)
-    expected = laurent_minor_gcd(matrix, matrix.cols - 1)
-    for route, poly in (("knot minor", knot_poly(a)), ("reduced burau", burau_alexander(a))):
-        if poly != expected:
-            return f"{route} {poly_str(poly)} != all-minors gcd {poly_str(expected)}"
-    form = coloring_form(a)
-    det = determinantal_divisor(form, form.cols)
-    if det != abs(expected.evaluate(-1)):
-        return f"determinant {det} != |all-minors gcd(-1)|"
-    return None
-
-
-def _minimize_braid(a: BraidWord) -> BraidWord:
-    """Greedily drop letters while the mismatch persists."""
-    current = a
-    improved = True
-    while improved and len(current.letters) > 1:
-        improved = False
-        for i in range(len(current.letters)):
-            candidate = BraidWord(
-                current.strands, current.letters[:i] + current.letters[i + 1 :]
-            )
-            if closure_component_count(candidate) != 1 or not candidate.letters:
-                continue
-            if _braid_mismatch(candidate) is not None:
-                current = candidate
-                improved = True
-                break
-    return current
-
-
-def _random_int_matrix(rng: random.Random) -> IntMatrix:
-    rows = rng.randint(1, 4)
-    cols = rng.randint(1, 4)
-    return IntMatrix.from_rows(
-        [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols=cols
-    )
-
-
-def _matrix_mismatch(a: IntMatrix, rng: random.Random) -> str | None:
-    snf = smith_normal_form(a)
-    product = snf.P @ a @ snf.Q
-    for i in range(product.rows):
-        for j in range(product.cols):
-            expected = snf.divisors[i] if i == j and i < snf.rank else 0
-            if product.entries[i][j] != expected:
-                return "reconstruction P A Q is not the diagonal form"
-    for i in range(snf.rank - 1):
-        if snf.divisors[i + 1] % snf.divisors[i]:
-            return "divisor chain broken"
-    for k in range(min(a.rows, a.cols) + 1):
-        if determinantal_divisor(snf, k) != minor_gcd(a, k):
-            return f"divisor {k} disagrees with brute-force minors"
-    r = rng.randint(2, 12)
-    count = solution_count_mod(snf, r)
-    if count <= 20736:
-        from itertools import product as iproduct
-
-        brute = [
-            x
-            for x in iproduct(range(r), repeat=a.cols)
-            if all(v % r == 0 for v in a.apply(list(x)))
-        ]
-        if count != len(brute):
-            return f"solution count mod {r}: {count} != brute {len(brute)}"
-        enumerated = sorted(enumerate_solutions_mod(snf, r))
-        if enumerated != sorted(brute):
-            return f"solution enumeration mod {r} differs from brute force"
-    return None
-
-
-def verify_report(
-    seed: int, trials: int, max_strands: int, max_len: int
-) -> tuple[dict[str, Any], str | None]:
-    rng = random.Random(seed)
-    failure: str | None = None
-    braids_checked = 0
-    for _ in range(trials):
-        a = random_knot_braid(rng, max_strands, max_len)
-        mismatch = _braid_mismatch(a)
-        if mismatch is not None:
-            small = _minimize_braid(a)
-            failure = f"braid {small} on {small.strands} strands: {_braid_mismatch(small)}"
-            break
-        braids_checked += 1
-
-    if failure is None:
-        for text, strands in _LONG_WORDS:
-            mismatch = _long_word_mismatch(parse_braid(text, strands))
-            if mismatch is not None:
-                failure = f"long braid {text} on {strands} strands: {mismatch}"
-                break
-
-    matrices_checked = 0
-    if failure is None:
-        for _ in range(max(trials * 5, 100)):
-            m = _random_int_matrix(rng)
-            mismatch = _matrix_mismatch(m, rng)
-            if mismatch is not None:
-                failure = f"matrix {m.entries}: {mismatch}"
-                break
-            matrices_checked += 1
-
-    pairs_checked = 0
-    if failure is None:
-        for _ in range(max(trials // 2, 25)):
-            a = random_knot_braid(rng, max_strands, max_len)
-            b = full_twist(a.strands) ** rng.randint(0, 2)
-            matrix = alexander_matrix(a, b)
-            if matrix != fox_matrix(torus_covering_presentation(a, b)).without_zero_rows():
-                failure = f"burau-built and fox matrices differ for a={a}, twist power"
-                break
-            if alexander_poly(matrix) != laurent_minor_gcd(matrix, matrix.cols - 1):
-                failure = f"base-column and all-minors gcds differ for a={a}, twist power"
-                break
-            form = coloring_form(a, b)
-            det = determinantal_divisor(form, form.cols)
-            a_int = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
-            if det != determinantal_divisor(smith_normal_form(a_int), matrix.cols - 1):
-                failure = f"form determinant {det} != full divisor for a={a}, twist power"
-                break
-            if det % 2 == 0:
-                failure = f"even surface determinant {det} for a={a}, twist power"
-                break
-            pairs_checked += 1
-
-    report = {
-        "input": {
-            "kind": "verify",
-            "seed": seed,
-            "trials": trials,
-            "max_strands": max_strands,
-            "max_len": max_len,
-        },
-        "braids_checked": braids_checked,
-        "matrices_checked": matrices_checked,
-        "commuting_pairs_checked": pairs_checked,
-        "failure": failure,
-        "passed": failure is None,
-    }
-    return report, failure
 
 
 # -- rendering ---------------------------------------------------------------
@@ -697,6 +482,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             perm = _parse_perm(args.perm)
             report = family_report(args.n, args.p, args.m, signs, perm)
         else:
+            from .oracles import verify_report
+
             report, failure = verify_report(
                 args.seed, args.trials, args.max_strands, args.max_len
             )

@@ -2,12 +2,14 @@
 
 A coloring modulo r assigns residues to arcs (diagram picture) or to the
 braid-top meridians (presentation picture) so that every crossing
-satisfies 2*over - in - out == 0 (mod r).  Three independent routes
+satisfies 2*over - in - out == 0 (mod r).  Two independent routes here
 compute the same censuses:
 
 * solution counting on the coloring form (``presentations.coloring_form``),
-* fixed points of pushing colors through the braid crossing by crossing,
-* exhaustive enumeration of arc colors on the closure diagram.
+* fixed points of pushing colors through the braid crossing by crossing.
+
+Exhaustive enumeration of arc colors on the closure diagram is a third,
+kept as an oracle (``oracles.diagram_census_brute``).
 
 Constant colorings always satisfy the constraints, so census totals are
 a multiple of r, and fixing the base (last) arc or generator to color 0
@@ -24,43 +26,11 @@ from typing import Iterable, NamedTuple, Sequence
 from .braids import BraidWord
 from .intlinalg import (
     EnumerationCapExceeded,
-    IntMatrix,
     SNFResult,
     enumerate_solutions_mod,
     solution_count_mod,
     _enum_cap,
 )
-from .laurent import LaurentMatrix
-from .presentations import ClosureDiagram, Crossing
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Residues modulo r assigned to arcs or generators."""
-
-    modulus: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        object.__setattr__(
-            self, "values", tuple(int(v) % self.modulus for v in self.values)
-        )
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(set(self.values)) <= 1
-
-    def satisfies(self, m: LaurentMatrix) -> bool:
-        """Whether every row of M(-1) annihilates the values modulo r."""
-        if m.cols != len(self.values):
-            raise ValueError("length mismatch between coloring and matrix")
-        a = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
-        return all(v % self.modulus == 0 for v in a.apply(list(self.values)))
-
-    def generated_divisor(self) -> int:
-        return generated_subgroup(self.values, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -73,16 +43,8 @@ class ColoringCensus:
 
     modulus: int
     total: int
-    nontrivial: int
     nondegenerate: bool
     condition_o: int
-
-
-def dihedral_op(x: int, y: int, p: int) -> int:
-    """The dihedral quandle operation x * y = 2y - x on Z/p."""
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    return (2 * y - x) % p
 
 
 def generated_subgroup(colors: Iterable[int], p: int) -> int:
@@ -110,14 +72,8 @@ def coloring_census(form: SNFResult, r: int, cap: int | None = None) -> Coloring
     """
     cond_solutions = [sol + (0,) for sol in enumerate_solutions_mod(form, r, cap=cap)]
     nondeg = any(generated_subgroup(sol, r) == 1 for sol in cond_solutions)
-    total = r * len(cond_solutions)
-    return ColoringCensus(
-        modulus=r,
-        total=total,
-        nontrivial=total - r,
-        nondegenerate=nondeg,
-        condition_o=len(cond_solutions),
-    )
+    count = len(cond_solutions)
+    return ColoringCensus(modulus=r, total=r * count, nondegenerate=nondeg, condition_o=count)
 
 
 def is_p_colorable(form: SNFResult, p: int) -> bool:
@@ -156,7 +112,7 @@ def surface_coloring_census(
 
     The pair must commute, and the census does not check it: the free-word
     check is exponential, ``cli.surface_report`` has run it before any
-    census, and ``verify`` passes the identity as b.
+    census, and ``oracles.braid_mismatch`` passes the identity as b.
     """
     if r < 2:
         raise ValueError("modulus must be at least 2")
@@ -176,13 +132,7 @@ def surface_coloring_census(
             cond += 1
             if not nondeg and generated_subgroup(colors, r) == 1:
                 nondeg = True
-    return ColoringCensus(
-        modulus=r,
-        total=total,
-        nontrivial=total - r,
-        nondegenerate=nondeg,
-        condition_o=cond,
-    )
+    return ColoringCensus(modulus=r, total=total, nondegenerate=nondeg, condition_o=cond)
 
 
 class ProfileRow(NamedTuple):
@@ -209,56 +159,3 @@ def colorability_profile(form: SNFResult, r_max: int) -> list[ProfileRow]:
         raise ValueError("r_max must be at least 2")
     return [ProfileRow(r, solution_count_mod(form, r)) for r in range(2, r_max + 1)]
 
-
-def diagram_census_brute(
-    d: ClosureDiagram, r: int, cap: int | None = None
-) -> ColoringCensus:
-    """Exhaustive census of arc colorings of a closure diagram.
-
-    Walks arcs in order, depth first on an explicit stack rather than by
-    recursion, checking each crossing as soon as all three of its arcs are
-    colored; branches that already violate a crossing are abandoned.
-    Intended as the naive oracle against the algebraic routes.
-    """
-    if r < 2:
-        raise ValueError("modulus must be at least 2")
-    m = d.arc_count
-    checks_at: list[list[Crossing]] = [[] for _ in range(m + 1)]
-    for c in d.crossings:
-        depth = max(c.over, c.under_in, c.under_out)
-        checks_at[depth].append(c)
-
-    total = 0
-    cond = 0
-    nondeg = False
-    colors = [0] * (m + 1)  # 1-based
-    next_value = [0] * (m + 1)  # the stack: next color to try at each arc
-    arc = 1
-    while arc >= 1:
-        if arc > m:
-            total += 1
-            if colors[m] == 0:
-                cond += 1
-                if not nondeg and generated_subgroup(colors[1:], r) == 1:
-                    nondeg = True
-            arc -= 1
-            continue
-        value = next_value[arc]
-        if value == r:
-            next_value[arc] = 0
-            arc -= 1
-            continue
-        next_value[arc] = value + 1
-        colors[arc] = value
-        for c in checks_at[arc]:
-            if (2 * colors[c.over] - colors[c.under_in] - colors[c.under_out]) % r:
-                break
-        else:
-            arc += 1
-    return ColoringCensus(
-        modulus=r,
-        total=total,
-        nontrivial=total - r,
-        nondegenerate=nondeg,
-        condition_o=cond,
-    )

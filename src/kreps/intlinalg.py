@@ -2,16 +2,15 @@
 
 ``smith_normal_form`` is the only function that reduces a matrix; the
 determinantal divisors and the counting/enumeration of solutions of
-homogeneous systems modulo any r >= 2 are read from its result.
-``minor_gcd`` is the oracle for the divisors.  Plain Python integers
-throughout, so nothing ever overflows.
+homogeneous systems modulo any r >= 2 are read from its result.  The
+brute-force minors (``oracles.minor_gcd``) are the oracle for the
+divisors.  Plain Python integers throughout, so nothing ever overflows.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -208,25 +207,6 @@ def determinantal_divisor(snf: SNFResult, k: int) -> int:
     if k > snf.rank:
         return 0
     return prod(snf.divisors[:k])
-
-
-def minor_gcd(a: IntMatrix, k: int) -> int:
-    """Determinantal divisor by direct minor enumeration (independent of
-    the Smith normal form route; intended for cross-checking)."""
-    if k < 0 or k > min(a.rows, a.cols):
-        raise ValueError("minor size out of range")
-    if k == 0:
-        return 1
-    g = 0
-    for rsel in combinations(range(a.rows), k):
-        for csel in combinations(range(a.cols), k):
-            sub = IntMatrix.from_rows(
-                [[a.entries[i][j] for j in csel] for i in rsel], cols=k
-            )
-            g = gcd(g, int_det(sub))
-            if g == 1:
-                return 1
-    return g
 
 
 def solution_count_mod(snf: SNFResult, r: int) -> int:

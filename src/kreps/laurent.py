@@ -341,9 +341,6 @@ class LaurentMatrix:
         one, zero = LaurentPoly.one(), LaurentPoly.zero()
         return cls(n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
-
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")

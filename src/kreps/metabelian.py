@@ -21,7 +21,8 @@ from the braid by the Burau rule, lifts to the representation sending
 meridian i to R(k_i), where k_i is the even representative of c_i modulo
 2m.  Every relator has zero exponent sum, which forces the residual sign
 D(0)/D(m) to be trivial, so the lifted assignment satisfies all relators
-exactly; ``verify_representation`` checks that on free-word relators.
+exactly.  The oracles ``oracles.verify_representation`` and
+``oracles.is_irreducible`` check that on free-word relators.
 
 ``enumerate_rep_classes`` keeps each class as its coloring and the even
 lifts as plain ints, and builds the assignment only when it is read.  It
@@ -35,9 +36,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .braids import is_odd_prime
-from .intlinalg import IntMatrix, SNFResult, determinantal_divisor, enumerate_solutions_mod
-from .laurent import LaurentMatrix
-from .presentations import Presentation
+from .intlinalg import SNFResult, determinantal_divisor, enumerate_solutions_mod
 
 
 @dataclass(frozen=True)
@@ -125,69 +124,6 @@ def _even_lift(coloring: Sequence[int], m: int) -> tuple[int, ...]:
     """The even representative k_i modulo 2m of each color modulo m."""
     residues = [c % m for c in coloring]
     return tuple([c if c % 2 == 0 else c + m for c in residues])
-
-
-def _lift(coloring: Sequence[int], m: int) -> tuple[BinaryDihedralElt, ...]:
-    """R(k_i) for the even lift k_i of each color modulo 2m."""
-    return tuple([BinaryDihedralElt.r(m, k) for k in _even_lift(coloring, m)])
-
-
-def build_representation(
-    matrix: LaurentMatrix, coloring: Sequence[int], m: int
-) -> tuple[BinaryDihedralElt, ...]:
-    """Assignment generator i -> R(k_i) from a coloring modulo odd m.
-
-    k_i is the even lift of the color, which settles the sign ambiguity:
-    with even angles the conjugation rule reproduces the coloring
-    constraints modulo 2m, not just modulo m.
-    """
-    if m < 3 or m % 2 == 0:
-        raise ValueError("the modulus must be an odd integer >= 3")
-    if len(coloring) != matrix.cols:
-        raise ValueError("one color per generator is required")
-    a = IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols)
-    residual = a.apply([c % m for c in coloring])
-    if any(v % m for v in residual):
-        raise ValueError("the vector is not a coloring of this matrix")
-    return _lift(coloring, m)
-
-
-def _evaluate_relator(
-    relator, assignment: Sequence[BinaryDihedralElt], m: int
-) -> BinaryDihedralElt:
-    acc = BinaryDihedralElt.identity(m)
-    for letter in relator.letters:
-        img = assignment[abs(letter) - 1]
-        acc = bd_mul(acc, img if letter > 0 else bd_inv(img))
-    return acc
-
-
-def verify_representation(
-    p: Presentation, assignment: Sequence[BinaryDihedralElt]
-) -> bool:
-    """True iff every relator evaluates to the identity, exactly."""
-    if len(assignment) != p.generators:
-        raise ValueError("one image per generator is required")
-    moduli = {elt.modulus for elt in assignment}
-    if len(moduli) > 1:
-        raise ValueError("mixed moduli in the assignment")
-    m = (moduli.pop() if moduli else 6) // 2
-    return all(_evaluate_relator(rel, assignment, m).is_identity for rel in p.relators)
-
-
-def is_irreducible(assignment: Sequence[BinaryDihedralElt]) -> bool:
-    """True iff two reflection angles differ modulo m.
-
-    R(a) and R(b) share an eigenvector exactly when a == b (mod m), so an
-    all-reflection image is reducible only when every angle agrees there.
-    """
-    if not assignment:
-        raise ValueError("empty assignment")
-    if any(elt.kind != "R" for elt in assignment):
-        raise ValueError("irreducibility test expects antidiagonal images only")
-    m = assignment[0].modulus // 2
-    first = assignment[0].angle % m
-    return any(elt.angle % m != first for elt in assignment[1:])
 
 
 @dataclass(frozen=True)

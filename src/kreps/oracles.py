@@ -1,0 +1,590 @@
+"""Oracles: slower, independent routes to the numbers that reports compute,
+and the ``kreps verify`` sweep that checks the two against each other.
+
+No report calls anything here.  Production keeps one route to each answer
+(the Burau rules and the one Smith normal form of the coloring form); the
+routes here reach the same numbers another way:
+
+* free-word presentations of the closure and of the torus-covering
+  surface knot, and their Fox matrices (``fox_matrix``), for the Alexander
+  matrix;
+* the crossing matrix of the closure diagram (``coloring_matrix``), for
+  the elementary ideals at t = -1;
+* exhaustive arc colorings of the diagram (``diagram_census_brute``), for
+  the coloring censuses;
+* the gcd of all k x k minors (``minor_gcd``), for the determinantal
+  divisors;
+* binary dihedral images evaluated on the free-word relators
+  (``verify_representation``, ``is_irreducible``), for the classes.
+
+``braid_mismatch``, ``long_word_mismatch``, ``matrix_mismatch`` and
+``pair_mismatch`` each run every check on one input and return a
+description of the first failure, or None.  ``verify_report`` runs them
+over a seeded sweep; the acceptance tests call them on their own seeds.
+
+Conventions:
+
+* A presentation has generators t_1..t_m, each weighted by a power of t
+  under abelianization (weight exponent 1 everywhere in this package).
+  Its Fox matrix has one row per relator and one column per generator;
+  entry (i, j) is the abelianized free derivative of relator i by
+  generator j.  Row sums vanish identically because every relator has
+  weighted exponent sum zero.
+* The closure diagram of a braid has one arc per maximal over-segment;
+  arcs are numbered 1..m.  At a crossing the over arc j transforms the
+  incoming under arc i into the outgoing under arc k, and the crossing
+  matrix row is t*x + (1-t)*x_j - x_out, where the roles of i and k as
+  "x" and "x_out" follow the crossing sign (positive: i is transformed
+  into k; negative: the other way around).  At t = -1 both readings give
+  the same row, 2*over - in - out.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from itertools import combinations, product
+from math import gcd
+from typing import Any, Iterable, Sequence
+
+from .braids import (
+    BraidWord,
+    FreeWord,
+    artin_act,
+    braids_commute,
+    closure_component_count,
+    full_twist,
+    parse_braid,
+    random_knot_braid,
+)
+from .colorings import ColoringCensus, coloring_census, generated_subgroup, surface_coloring_census
+from .intlinalg import (
+    IntMatrix,
+    SNFResult,
+    determinantal_divisor,
+    enumerate_solutions_mod,
+    int_det,
+    smith_normal_form,
+    solution_count_mod,
+)
+from .laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd, poly_str
+from .metabelian import BinaryDihedralElt, bd_inv, bd_mul, enumerate_rep_classes
+from .presentations import alexander_matrix, alexander_poly, burau_alexander, coloring_form, knot_poly
+
+# -- free-word presentations and Fox calculus ---------------------------------
+
+
+@dataclass(frozen=True)
+class Presentation:
+    """A finite presentation whose abelianization is infinite cyclic."""
+
+    generators: int
+    relators: tuple[FreeWord, ...]
+    weights: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.generators < 1:
+            raise ValueError("a presentation needs at least one generator")
+        if len(self.weights) != self.generators:
+            raise ValueError("one weight exponent per generator is required")
+        for rel in self.relators:
+            if rel.rank != self.generators:
+                raise ValueError("relator rank does not match the generator count")
+            if rel.weighted_exponent_sum(self.weights) != 0:
+                raise ValueError(
+                    "relator has nonzero weighted exponent sum; "
+                    "it cannot hold in a group with infinite cyclic abelianization"
+                )
+
+
+def closure_presentation(a: BraidWord) -> Presentation:
+    """Presentation of the closure's group: t_i = (image of t_i under a).
+
+    Relators that reduce to the empty word are dropped.
+    """
+    n = a.strands
+    relators = []
+    for i in range(1, n + 1):
+        gen = FreeWord.generator(n, i)
+        rel = gen * artin_act(a, gen).inverse()
+        if not rel.is_identity:
+            relators.append(rel)
+    return Presentation(n, tuple(relators), (1,) * n)
+
+
+def torus_covering_presentation(a: BraidWord, b: BraidWord) -> Presentation:
+    """Presentation of the group of the genus-one surface knot spanned by
+    the commuting pair (a, b): both monodromies fix every meridian.
+    """
+    if a.strands != b.strands:
+        raise ValueError("strand count mismatch")
+    if not braids_commute(a, b):
+        raise ValueError("basis braids must commute")
+    if closure_component_count(a) != 1:
+        raise ValueError("the closure of the first braid must be a knot")
+    relators = closure_presentation(a).relators + closure_presentation(b).relators
+    return Presentation(a.strands, relators, (1,) * a.strands)
+
+
+def fox_derivative_abelianized(r: FreeWord, j: int, weights: Sequence[int]) -> LaurentPoly:
+    """Abelianized free derivative of r by generator j.
+
+    Walks the word once: a positive occurrence of j contributes the
+    weighted prefix monomial, a negative one contributes minus the
+    prefix times the inverse weight of j.
+    """
+    if j < 1 or j > r.rank:
+        raise ValueError("generator index out of range")
+    coeffs: dict[int, int] = {}
+    prefix = 0
+    for letter in r.letters:
+        g = abs(letter)
+        w = weights[g - 1]
+        if g == j:
+            if letter > 0:
+                exp = prefix
+                coeffs[exp] = coeffs.get(exp, 0) + 1
+            else:
+                exp = prefix - w
+                coeffs[exp] = coeffs.get(exp, 0) - 1
+        prefix += w if letter > 0 else -w
+    return LaurentPoly(coeffs)
+
+
+def fox_matrix(p: Presentation) -> LaurentMatrix:
+    """Rows are relators, columns are generators."""
+    grid = tuple(
+        tuple(fox_derivative_abelianized(rel, j, p.weights) for j in range(1, p.generators + 1))
+        for rel in p.relators
+    )
+    return LaurentMatrix(len(p.relators), p.generators, grid)
+
+
+# -- the closure diagram --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Crossing:
+    """One crossing: the over arc, the incoming and outgoing under arcs,
+    and the sign of the crossing."""
+
+    over: int
+    under_in: int
+    under_out: int
+    sign: int
+
+
+@dataclass(frozen=True)
+class ClosureDiagram:
+    arc_count: int
+    crossings: tuple[Crossing, ...]
+
+
+def closure_diagram(a: BraidWord) -> ClosureDiagram:
+    """Arcs and crossings of the standard closure diagram of a.
+
+    Walking down the braid, each crossing ends the under strand's arc and
+    starts a fresh one; closing up identifies the label left on each slot
+    with the arc that started there.  Positive generators cross the left
+    strand over the right.
+    """
+    if len(a.letters) < 1:
+        raise ValueError("the diagram needs at least one crossing")
+    n = a.strands
+    labels = list(range(n))
+    next_label = n
+    raw: list[tuple[int, int, int, int]] = []
+    for letter in a.letters:
+        i = abs(letter) - 1
+        if letter > 0:
+            over, under = labels[i], labels[i + 1]
+            fresh = next_label
+            next_label += 1
+            labels[i], labels[i + 1] = fresh, over
+        else:
+            over, under = labels[i + 1], labels[i]
+            fresh = next_label
+            next_label += 1
+            labels[i], labels[i + 1] = over, fresh
+        raw.append((over, under, fresh, 1 if letter > 0 else -1))
+
+    parent = list(range(next_label))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    for slot in range(n):
+        union(slot, labels[slot])
+
+    roots = sorted({find(x) for x in range(next_label)})
+    arc_of = {root: idx + 1 for idx, root in enumerate(roots)}
+    crossings = tuple(
+        Crossing(
+            over=arc_of[find(over)],
+            under_in=arc_of[find(under)],
+            under_out=arc_of[find(fresh)],
+            sign=sign,
+        )
+        for over, under, fresh, sign in raw
+    )
+    return ClosureDiagram(len(roots), crossings)
+
+
+def coloring_matrix(d: ClosureDiagram) -> LaurentMatrix:
+    """One row per crossing of the relation t*x_in + (1-t)*x_over - x_out,
+    with entries accumulated when arcs coincide.  On negative crossings
+    the under arcs trade places, which changes nothing at t = -1.
+    """
+    t = LaurentPoly.t()
+    one = LaurentPoly.one()
+    rows = []
+    for c in d.crossings:
+        row = [LaurentPoly.zero()] * d.arc_count
+        src, dst = (c.under_in, c.under_out) if c.sign > 0 else (c.under_out, c.under_in)
+        row[src - 1] = row[src - 1] + t
+        row[c.over - 1] = row[c.over - 1] + (one - t)
+        row[dst - 1] = row[dst - 1] - one
+        rows.append(tuple(row))
+    return LaurentMatrix(len(d.crossings), d.arc_count, tuple(rows))
+
+
+def diagram_census_brute(
+    d: ClosureDiagram, r: int, cap: int | None = None
+) -> ColoringCensus:
+    """Exhaustive census of arc colorings of a closure diagram.
+
+    Walks arcs in order, depth first on an explicit stack rather than by
+    recursion, checking each crossing as soon as all three of its arcs are
+    colored; branches that already violate a crossing are abandoned.
+    """
+    if r < 2:
+        raise ValueError("modulus must be at least 2")
+    m = d.arc_count
+    checks_at: list[list[Crossing]] = [[] for _ in range(m + 1)]
+    for c in d.crossings:
+        depth = max(c.over, c.under_in, c.under_out)
+        checks_at[depth].append(c)
+
+    total = 0
+    cond = 0
+    nondeg = False
+    colors = [0] * (m + 1)  # 1-based
+    next_value = [0] * (m + 1)  # the stack: next color to try at each arc
+    arc = 1
+    while arc >= 1:
+        if arc > m:
+            total += 1
+            if colors[m] == 0:
+                cond += 1
+                if not nondeg and generated_subgroup(colors[1:], r) == 1:
+                    nondeg = True
+            arc -= 1
+            continue
+        value = next_value[arc]
+        if value == r:
+            next_value[arc] = 0
+            arc -= 1
+            continue
+        next_value[arc] = value + 1
+        colors[arc] = value
+        for c in checks_at[arc]:
+            if (2 * colors[c.over] - colors[c.under_in] - colors[c.under_out]) % r:
+                break
+        else:
+            arc += 1
+    return ColoringCensus(modulus=r, total=total, nondegenerate=nondeg, condition_o=cond)
+
+
+# -- divisors and representations -------------------------------------------------
+
+
+def minor_gcd(a: IntMatrix, k: int) -> int:
+    """Determinantal divisor by direct minor enumeration, independent of
+    the Smith normal form route."""
+    if k < 0 or k > min(a.rows, a.cols):
+        raise ValueError("minor size out of range")
+    if k == 0:
+        return 1
+    g = 0
+    for rsel in combinations(range(a.rows), k):
+        for csel in combinations(range(a.cols), k):
+            sub = IntMatrix.from_rows(
+                [[a.entries[i][j] for j in csel] for i in rsel], cols=k
+            )
+            g = gcd(g, int_det(sub))
+            if g == 1:
+                return 1
+    return g
+
+
+def _evaluate_relator(
+    relator: FreeWord, assignment: Sequence[BinaryDihedralElt], m: int
+) -> BinaryDihedralElt:
+    acc = BinaryDihedralElt.identity(m)
+    for letter in relator.letters:
+        img = assignment[abs(letter) - 1]
+        acc = bd_mul(acc, img if letter > 0 else bd_inv(img))
+    return acc
+
+
+def verify_representation(
+    p: Presentation, assignment: Sequence[BinaryDihedralElt]
+) -> bool:
+    """True iff every relator evaluates to the identity, exactly."""
+    if len(assignment) != p.generators:
+        raise ValueError("one image per generator is required")
+    moduli = {elt.modulus for elt in assignment}
+    if len(moduli) > 1:
+        raise ValueError("mixed moduli in the assignment")
+    m = (moduli.pop() if moduli else 6) // 2
+    return all(_evaluate_relator(rel, assignment, m).is_identity for rel in p.relators)
+
+
+def is_irreducible(assignment: Sequence[BinaryDihedralElt]) -> bool:
+    """True iff two reflection angles differ modulo m.
+
+    R(a) and R(b) share an eigenvector exactly when a == b (mod m), so an
+    all-reflection image is reducible only when every angle agrees there.
+    """
+    if not assignment:
+        raise ValueError("empty assignment")
+    if any(elt.kind != "R" for elt in assignment):
+        raise ValueError("irreducibility test expects antidiagonal images only")
+    m = assignment[0].modulus // 2
+    first = assignment[0].angle % m
+    return any(elt.angle % m != first for elt in assignment[1:])
+
+
+# -- cross-checks, one input each ---------------------------------------------------
+
+
+def _snf_at_minus_one(m: LaurentMatrix) -> SNFResult:
+    """Smith normal form of the whole matrix at t = -1, base column kept."""
+    return smith_normal_form(IntMatrix.from_rows(m.evaluate(-1), cols=m.cols))
+
+
+def braid_mismatch(a: BraidWord) -> str | None:
+    """Every cross-check on the knot closure of a; returns a description
+    of the first failure, or None."""
+    matrix = alexander_matrix(a)
+    presentation = closure_presentation(a)
+    if matrix != fox_matrix(presentation).without_zero_rows():
+        return "burau-built matrix != fox matrix of the free-word presentation"
+    form = coloring_form(a)
+    poly = knot_poly(a)
+    det = determinantal_divisor(form, form.cols)
+    routes = {
+        "base-column gcd": alexander_poly(matrix),
+        "all-minors gcd": laurent_minor_gcd(matrix, matrix.cols - 1),
+        "reduced burau": burau_alexander(a),
+    }
+    for route, other in routes.items():
+        if other != poly:
+            return f"knot minor {poly_str(poly)} != {route} {poly_str(other)}"
+    if det != abs(poly.evaluate(-1)):
+        return f"determinant {det} != |poly(-1)|"
+    for rc in enumerate_rep_classes(form):
+        if not verify_representation(presentation, rc.assignment):
+            return f"class of coloring {rc.coloring} fails a free-word relator"
+        if not is_irreducible(rc.assignment):
+            return f"class of coloring {rc.coloring} is reducible"
+    full = _snf_at_minus_one(matrix)
+    if det != determinantal_divisor(full, matrix.cols - 1):
+        return f"form determinant {det} != divisor of the full matrix"
+    diagram = closure_diagram(a)
+    cmatrix = coloring_matrix(diagram)
+    c_snf = _snf_at_minus_one(cmatrix)
+    for back in range(1, min(matrix.cols, cmatrix.cols) + 1):
+        lhs = determinantal_divisor(full, matrix.cols - back)
+        rhs = determinantal_divisor(c_snf, cmatrix.cols - back)
+        if lhs != rhs:
+            return f"divisor mismatch at depth {back}: {lhs} != {rhs}"
+    for r in range(2, 8):
+        algebraic = coloring_census(form, r)
+        transported = surface_coloring_census(a, BraidWord.identity(a.strands), r)
+        brute = diagram_census_brute(diagram, r)
+        if not (
+            algebraic.total == transported.total == brute.total
+            and algebraic.condition_o == transported.condition_o == brute.condition_o
+        ):
+            return (
+                f"census mismatch at r={r}: matrix {algebraic.total}/{algebraic.condition_o}, "
+                f"transport {transported.total}/{transported.condition_o}, "
+                f"diagram {brute.total}/{brute.condition_o}"
+            )
+    return None
+
+
+# knot words long enough that the packed Burau rules re-size their digits,
+# which the short random braids of the sweep never do
+LONG_WORDS = (("1^101", 2), (" ".join(["1 -2"] * 61), 3), ("1^61 2 3 4 5", 6))
+
+
+def long_word_mismatch(a: BraidWord) -> str | None:
+    """The packed routes against the all-minors gcd; returns a description
+    of the first failure, or None."""
+    matrix = alexander_matrix(a)
+    expected = laurent_minor_gcd(matrix, matrix.cols - 1)
+    for route, poly in (("knot minor", knot_poly(a)), ("reduced burau", burau_alexander(a))):
+        if poly != expected:
+            return f"{route} {poly_str(poly)} != all-minors gcd {poly_str(expected)}"
+    form = coloring_form(a)
+    det = determinantal_divisor(form, form.cols)
+    if det != abs(expected.evaluate(-1)):
+        return f"determinant {det} != |all-minors gcd(-1)|"
+    return None
+
+
+def minimize_braid(a: BraidWord) -> BraidWord:
+    """Greedily drop letters while ``braid_mismatch`` still finds one."""
+    current = a
+    improved = True
+    while improved and len(current.letters) > 1:
+        improved = False
+        for i in range(len(current.letters)):
+            candidate = BraidWord(
+                current.strands, current.letters[:i] + current.letters[i + 1 :]
+            )
+            if closure_component_count(candidate) != 1 or not candidate.letters:
+                continue
+            if braid_mismatch(candidate) is not None:
+                current = candidate
+                improved = True
+                break
+    return current
+
+
+def random_int_matrix(rng: random.Random) -> IntMatrix:
+    """A matrix of 1..4 rows and 1..4 columns with entries in -9..9."""
+    rows = rng.randint(1, 4)
+    cols = rng.randint(1, 4)
+    return IntMatrix.from_rows(
+        [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+
+# the most candidate vectors r^cols that matrix_mismatch searches exhaustively
+_BRUTE_CANDIDATES = 12**4
+
+
+def matrix_mismatch(a: IntMatrix, moduli: Iterable[int]) -> str | None:
+    """The Smith normal form of a against its definition and the brute-force
+    minors, and its solution count and enumeration modulo each r in moduli
+    against exhaustive search (skipped when r^cols exceeds 12^4); returns
+    a description of the first failure, or None."""
+    snf = smith_normal_form(a)
+    diagonal = snf.P @ a @ snf.Q
+    for i in range(diagonal.rows):
+        for j in range(diagonal.cols):
+            expected = snf.divisors[i] if i == j and i < snf.rank else 0
+            if diagonal.entries[i][j] != expected:
+                return "reconstruction P A Q is not the diagonal form"
+    for i in range(snf.rank - 1):
+        if snf.divisors[i + 1] % snf.divisors[i]:
+            return "divisor chain broken"
+    for k in range(min(a.rows, a.cols) + 1):
+        if determinantal_divisor(snf, k) != minor_gcd(a, k):
+            return f"divisor {k} disagrees with brute-force minors"
+    for r in moduli:
+        if r**a.cols > _BRUTE_CANDIDATES:
+            continue
+        brute = [
+            x for x in product(range(r), repeat=a.cols) if all(v % r == 0 for v in a.apply(list(x)))
+        ]
+        count = solution_count_mod(snf, r)
+        if count != len(brute):
+            return f"solution count mod {r}: {count} != brute {len(brute)}"
+        if sorted(enumerate_solutions_mod(snf, r)) != sorted(brute):
+            return f"solution enumeration mod {r} differs from brute force"
+    return None
+
+
+def pair_mismatch(a: BraidWord, b: BraidWord) -> str | None:
+    """Every cross-check on the surface knot of the commuting pair (a, b);
+    returns a description of the first failure, or None."""
+    matrix = alexander_matrix(a, b)
+    if matrix != fox_matrix(torus_covering_presentation(a, b)).without_zero_rows():
+        return "burau-built and fox matrices differ"
+    if alexander_poly(matrix) != laurent_minor_gcd(matrix, matrix.cols - 1):
+        return "base-column and all-minors gcds differ"
+    form = coloring_form(a, b)
+    det = determinantal_divisor(form, form.cols)
+    if det != determinantal_divisor(_snf_at_minus_one(matrix), matrix.cols - 1):
+        return f"form determinant {det} != full divisor"
+    if det % 2 == 0:
+        return f"even surface determinant {det}"
+    return None
+
+
+# -- the verify sweep ------------------------------------------------------------------
+
+
+def verify_report(
+    seed: int, trials: int, max_strands: int, max_len: int
+) -> tuple[dict[str, Any], str | None]:
+    """The ``kreps verify`` report and its failure, or None: ``trials``
+    random knot braids, then the long words, random integer matrices and
+    random braids paired with full-twist powers, all from one seeded
+    stream.  A failing braid is minimized before it is reported."""
+    rng = random.Random(seed)
+    failure: str | None = None
+    braids_checked = 0
+    for _ in range(trials):
+        a = random_knot_braid(rng, max_strands, max_len)
+        if braid_mismatch(a) is not None:
+            small = minimize_braid(a)
+            failure = f"braid {small} on {small.strands} strands: {braid_mismatch(small)}"
+            break
+        braids_checked += 1
+
+    if failure is None:
+        for text, strands in LONG_WORDS:
+            mismatch = long_word_mismatch(parse_braid(text, strands))
+            if mismatch is not None:
+                failure = f"long braid {text} on {strands} strands: {mismatch}"
+                break
+
+    matrices_checked = 0
+    if failure is None:
+        for _ in range(max(trials * 5, 100)):
+            m = random_int_matrix(rng)
+            mismatch = matrix_mismatch(m, (rng.randint(2, 12),))
+            if mismatch is not None:
+                failure = f"matrix {m.entries}: {mismatch}"
+                break
+            matrices_checked += 1
+
+    pairs_checked = 0
+    if failure is None:
+        for _ in range(max(trials // 2, 25)):
+            a = random_knot_braid(rng, max_strands, max_len)
+            b = full_twist(a.strands) ** rng.randint(0, 2)
+            mismatch = pair_mismatch(a, b)
+            if mismatch is not None:
+                failure = f"{mismatch} for a={a}, twist power"
+                break
+            pairs_checked += 1
+
+    report = {
+        "input": {
+            "kind": "verify",
+            "seed": seed,
+            "trials": trials,
+            "max_strands": max_strands,
+            "max_len": max_len,
+        },
+        "braids_checked": braids_checked,
+        "matrices_checked": matrices_checked,
+        "commuting_pairs_checked": pairs_checked,
+        "failure": failure,
+        "passed": failure is None,
+    }
+    return report, failure

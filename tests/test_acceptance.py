@@ -8,12 +8,10 @@ exact polynomial.
 
 import random
 import time
-from itertools import product
 
 import pytest
 
 from kreps.braids import (
-    BraidWord,
     full_twist,
     parse_braid,
     prime_twist_family,
@@ -21,37 +19,28 @@ from kreps.braids import (
 )
 from kreps.colorings import (
     colorability_profile,
-    coloring_census,
-    diagram_census_brute,
     is_p_colorable,
     surface_coloring_census,
 )
-from kreps.intlinalg import (
-    IntMatrix,
-    determinantal_divisor,
-    enumerate_solutions_mod,
-    minor_gcd,
-    smith_normal_form,
-    solution_count_mod,
-)
-from kreps.laurent import normalize_unit
+from kreps.intlinalg import determinantal_divisor
 from kreps.metabelian import (
     count_from_colorings,
     count_irreducible_metabelian,
     enumerate_rep_classes,
-    is_irreducible,
-    verify_representation,
 )
-from kreps.presentations import (
-    alexander_matrix,
-    alexander_poly,
-    burau_alexander,
+from kreps.oracles import (
+    braid_mismatch,
     closure_diagram,
     closure_presentation,
-    coloring_form,
-    coloring_matrix,
+    diagram_census_brute,
+    is_irreducible,
+    matrix_mismatch,
+    pair_mismatch,
+    random_int_matrix,
     torus_covering_presentation,
+    verify_representation,
 )
+from kreps.presentations import coloring_form
 
 FAMILY_CASES = (
     # (n, p, m, expected rep count, expected colorings mod p)
@@ -81,10 +70,6 @@ def family_form(n, p, m):
 
 def determinant(form):
     return determinantal_divisor(form, form.cols)
-
-
-def full_snf(matrix):
-    return smith_normal_form(IntMatrix.from_rows(matrix.evaluate(-1), cols=matrix.cols))
 
 
 def test_criterion_1_family_counts():
@@ -185,35 +170,16 @@ def test_criterion_4_only_p_colorability_rule():
 
 
 def test_criterion_5_oracle_equivalence_sweep():
+    # every check of kreps verify on one knot: the braid-built matrix against
+    # Fox calculus, the knot minor against the base-column and all-minors
+    # gcds and the reduced Burau route, the classes on the free-word
+    # relators, the divisors against the diagram's crossing matrix, and
+    # three census routes for r = 2..7
     rng = random.Random(20260810)
     start = time.monotonic()
     for trial in range(100):
         a = random_knot_braid(rng, 4, 8)
-        pres_matrix, form = alexander_matrix(a), coloring_form(a)
-        poly, det = alexander_poly(pres_matrix), determinant(form)
-        oracle = burau_alexander(a)
-        assert normalize_unit(poly) == oracle, f"trial {trial}: {a}"
-        assert det == abs(oracle.evaluate(-1)), f"trial {trial}: {a}"
-
-        diagram = closure_diagram(a)
-        diag_matrix = coloring_matrix(diagram)
-        pres_snf, diag_snf = full_snf(pres_matrix), full_snf(diag_matrix)
-        for back in range(1, min(pres_matrix.cols, diag_matrix.cols) + 1):
-            lhs = determinantal_divisor(pres_snf, pres_matrix.cols - back)
-            rhs = determinantal_divisor(diag_snf, diag_matrix.cols - back)
-            assert lhs == rhs, f"trial {trial}: {a} depth {back}"
-
-        identity = BraidWord.identity(a.strands)
-        for r in range(2, 8):
-            algebraic = coloring_census(form, r)
-            transported = surface_coloring_census(a, identity, r)
-            brute = diagram_census_brute(diagram, r)
-            assert (
-                algebraic.total == transported.total == brute.total
-            ), f"trial {trial}: {a} mod {r}"
-            assert (
-                algebraic.condition_o == transported.condition_o == brute.condition_o
-            ), f"trial {trial}: {a} mod {r}"
+        assert braid_mismatch(a) is None, f"trial {trial}: {a}"
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
     print(f"ACCEPTANCE 5 (oracle equivalence, 100 braids in {elapsed:.1f}s): PASS")
@@ -240,38 +206,16 @@ def test_criterion_6_representation_validity():
 
 
 def test_criterion_7_integer_linear_algebra_battery():
+    # the Smith normal form against P A Q, the divisor chain and the
+    # brute-force minors, and the solutions modulo r against exhaustive
+    # search, which at most 4 columns and r <= 12 never skips
     rng = random.Random(77)
     exhaustive_checked = 0
     for trial in range(500):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)],
-            cols=cols,
-        )
-        snf = smith_normal_form(a)
-        diag = snf.P @ a @ snf.Q
-        for i in range(diag.rows):
-            for j in range(diag.cols):
-                expected = snf.divisors[i] if i == j and i < snf.rank else 0
-                assert diag.entries[i][j] == expected, f"trial {trial}"
-        for i in range(snf.rank - 1):
-            assert snf.divisors[i + 1] % snf.divisors[i] == 0, f"trial {trial}"
-        for k in range(min(rows, cols) + 1):
-            assert determinantal_divisor(snf, k) == minor_gcd(a, k), f"trial {trial}"
-
-        moduli = range(2, 13) if cols <= 3 else (rng.randint(2, 12),)
-        for r in moduli:
-            exhaustive_checked += 1
-            brute = [
-                x
-                for x in product(range(r), repeat=cols)
-                if all(v % r == 0 for v in a.apply(list(x)))
-            ]
-            assert solution_count_mod(snf, r) == len(brute), f"trial {trial} mod {r}"
-            assert sorted(enumerate_solutions_mod(snf, r)) == sorted(brute), (
-                f"trial {trial} mod {r}"
-            )
+        a = random_int_matrix(rng)
+        moduli = range(2, 13) if a.cols <= 3 else (rng.randint(2, 12),)
+        assert matrix_mismatch(a, moduli) is None, f"trial {trial}: {a.entries}"
+        exhaustive_checked += len(moduli)
     assert exhaustive_checked >= 500
     print(
         f"ACCEPTANCE 7 (500 matrices: SNF exact, divisor chain, brute-force minors, "
@@ -280,10 +224,12 @@ def test_criterion_7_integer_linear_algebra_battery():
 
 
 def test_criterion_8_surface_determinant_parity():
+    # every check of kreps verify on one twisted pair: the braid-built
+    # matrix against Fox calculus, the base-column gcd against all minors,
+    # the form's determinant against the whole matrix, and its parity
     rng = random.Random(88)
     for trial in range(50):
         a = random_knot_braid(rng, 4, 8)
         b = full_twist(a.strands) ** rng.randint(0, 3)
-        det = determinant(coloring_form(a, b))
-        assert det % 2 == 1, f"trial {trial}: {a} with twist {b}"
+        assert pair_mismatch(a, b) is None, f"trial {trial}: {a} with twist {b}"
     print("ACCEPTANCE 8 (surface determinants are odd on 50 twisted pairs): PASS")

@@ -207,7 +207,8 @@ def test_family_signs_attached_dashes(capsys):
 
 
 def test_knot_report_never_builds_free_words(capsys, monkeypatch):
-    import kreps.presentations as presentations
+    import kreps.braids as braids
+    import kreps.oracles as oracles
 
     argv = ("knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json")
     code, expected, _ = run(capsys, *argv)
@@ -216,7 +217,7 @@ def test_knot_report_never_builds_free_words(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a knot report reached the free-word route")
 
-    for retired in (presentations.closure_presentation, presentations.fox_derivative_abelianized):
+    for retired in (braids.artin_act, oracles.closure_presentation, oracles.fox_derivative_abelianized):
         patch_kreps_bindings(monkeypatch, retired, refuse)
     assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
 
@@ -301,7 +302,7 @@ def test_exit_code_family_assertion(capsys, monkeypatch):
     from kreps.colorings import ColoringCensus
 
     def broken_census(a, b, r, cap=None):
-        return ColoringCensus(modulus=r, total=1, nontrivial=0, nondegenerate=False, condition_o=1)
+        return ColoringCensus(modulus=r, total=1, nondegenerate=False, condition_o=1)
 
     monkeypatch.setattr(cli, "surface_coloring_census", broken_census)
     code, _, err = run(capsys, "family", "2", "3", "1", "--json")
@@ -421,11 +422,79 @@ def test_surface_reports_check_commutation_once(capsys, monkeypatch):
 def test_exit_code_not_a_knot(capsys):
     code, _, _ = run(capsys, "knot", "1^2", "-n", "2", "--json")
     assert code == EXIT_NOT_A_KNOT
+    # the knot check comes first: sigma_1^2 closes to a 3-component link and
+    # does not commute with sigma_2
+    code, out, err = run(capsys, "surface", "1^2", "2", "-n", "3", "--json")
+    assert (code, out) == (EXIT_NOT_A_KNOT, "")
+    assert err == "error: the closure of the first braid is not a knot\n"
 
 
 def test_exit_code_not_commuting(capsys):
     code, _, _ = run(capsys, "surface", "1 2", "1", "-n", "3", "--json")
     assert code == EXIT_NOT_COMMUTING
+
+
+def test_cheap_refusals_come_first(capsys):
+    import time
+
+    # the class cap is decided from the coloring form before the polynomial
+    # routes run, and the knot check comes before the free-word commutation
+    # check; each input took minutes when the order was the other way round
+    knot_over_the_cap = " ".join(["1 -2"] * 2501)
+    link = " ".join(["1 -2"] * 15)
+    for argv, expected in (
+        (("knot", knot_over_the_cap, "-n", "3"), EXIT_USAGE),
+        (("surface", link, "-n", "3", "--fulltwist", "1"), EXIT_NOT_A_KNOT),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 5.0, argv[0]
+        assert (code, out) == (expected, ""), argv[0]
+        assert err.startswith("error: "), argv[0]
+    assert "exceed the cap" in run(capsys, "knot", knot_over_the_cap, "-n", "3")[2]
+
+
+def test_only_verify_reaches_the_oracles():
+    import ast
+
+    import kreps
+
+    package = Path(kreps.__file__).parent
+
+    def oracle_imports(module):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "oracles" for name in names):
+                found.append(node)
+        return tree, found
+
+    for module in ("__init__", "braids", "laurent", "intlinalg", "presentations", "colorings", "metabelian"):
+        assert oracle_imports(module)[1] == [], module
+    # cli imports the sweep alone, inside main, where it runs verify
+    tree, found = oracle_imports("cli")
+    assert [[alias.name for alias in node.names] for node in found] == [["verify_report"]]
+    main_def = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert found[0] in list(ast.walk(main_def))
+    script = (
+        "import contextlib, io, sys\n"
+        "from kreps.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['knot', '1^3', '-n', '2']) == 0\n"
+        "    assert main(['surface', '1^3', '1^6', '-n', '2']) == 0\n"
+        "    assert main(['family', '2', '3', '1']) == 0\n"
+        "    assert 'kreps.oracles' not in sys.modules\n"
+        "    assert main(['verify', '--trials', '1']) == 0\n"
+        "assert 'kreps.oracles' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
 
 
 def test_surface_rejects_double_second_braid(capsys):
@@ -435,8 +504,9 @@ def test_surface_rejects_double_second_braid(capsys):
 
 def test_verify_mismatch_path(capsys, monkeypatch):
     import kreps.cli as cli
+    import kreps.oracles as oracles
 
-    monkeypatch.setattr(cli, "_braid_mismatch", lambda a: "synthetic mismatch")
+    monkeypatch.setattr(oracles, "braid_mismatch", lambda a: "synthetic mismatch")
     code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
     assert code == cli.EXIT_VERIFY_MISMATCH
     report = json.loads(out)
@@ -446,14 +516,15 @@ def test_verify_mismatch_path(capsys, monkeypatch):
 
 def test_verify_checks_the_base_column_gcd(capsys, monkeypatch):
     import kreps.cli as cli
+    import kreps.oracles as oracles
     from kreps.laurent import LaurentPoly
 
-    monkeypatch.setattr(cli, "alexander_poly", lambda m: LaurentPoly.zero())
+    monkeypatch.setattr(oracles, "alexander_poly", lambda m: LaurentPoly.zero())
     code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
     assert code == cli.EXIT_VERIFY_MISMATCH
     assert "base-column gcd 0" in json.loads(out)["failure"]
     # the twisted-pair sweep runs the same check on its own
-    monkeypatch.setattr(cli, "_braid_mismatch", lambda a: None)
+    monkeypatch.setattr(oracles, "braid_mismatch", lambda a: None)
     code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
     assert code == cli.EXIT_VERIFY_MISMATCH
     assert "all-minors gcds differ" in json.loads(out)["failure"]
@@ -461,29 +532,31 @@ def test_verify_checks_the_base_column_gcd(capsys, monkeypatch):
 
 def test_verify_checks_the_packed_routes_on_long_words(capsys, monkeypatch):
     import kreps.cli as cli
+    import kreps.oracles as oracles
     from kreps.laurent import LaurentPoly
 
     # wrong only past the 8 letters of the random sweep, so only the long words see it
     for name in ("knot_poly", "burau_alexander"):
-        original = getattr(cli, name)
+        original = getattr(oracles, name)
         monkeypatch.setattr(
-            cli, name, lambda a, f=original: f(a) if len(a.letters) <= 8 else LaurentPoly.one()
+            oracles, name, lambda a, f=original: f(a) if len(a.letters) <= 8 else LaurentPoly.one()
         )
         code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "4", "--json")
         assert code == cli.EXIT_VERIFY_MISMATCH
         report = json.loads(out)
         assert report["braids_checked"] == 4
         assert report["failure"].startswith("long braid 1^101 on 2 strands: ")
-        monkeypatch.setattr(cli, name, original)
+        monkeypatch.setattr(oracles, name, original)
     assert run(capsys, "verify", "--seed", "3", "--trials", "4")[0] == EXIT_OK
 
 
 def test_verify_checks_every_class_on_the_relators(capsys, monkeypatch):
     import kreps.cli as cli
+    import kreps.oracles as oracles
 
     for name, message in (("verify_representation", "fails a free-word relator"), ("is_irreducible", "is reducible")):
         with monkeypatch.context() as patch:
-            patch.setattr(cli, name, lambda *args: False)
+            patch.setattr(oracles, name, lambda *args: False)
             # the fifth braid of seed 0 is the first with classes
             code, out, _ = run(capsys, "verify", "--seed", "0", "--trials", "5", "--json")
         assert code == cli.EXIT_VERIFY_MISMATCH, name

@@ -10,10 +10,10 @@ from kreps.intlinalg import (
     determinantal_divisor,
     enumerate_solutions_mod,
     int_det,
-    minor_gcd,
     smith_normal_form,
     solution_count_mod,
 )
+from kreps.oracles import minor_gcd
 
 
 def random_matrix(rng, max_dim=4, bound=9):

@@ -10,22 +10,21 @@ from kreps.braids import FreeWord, full_twist, parse_braid, prime_twist_family
 from kreps.intlinalg import determinantal_divisor
 from kreps.metabelian import (
     BinaryDihedralElt,
+    _even_lift,
     bd_inv,
     bd_mul,
-    build_representation,
     count_from_colorings,
     count_irreducible_metabelian,
     enumerate_rep_classes,
-    is_irreducible,
-    verify_representation,
 )
-from kreps.presentations import (
+from kreps.oracles import (
     Presentation,
     closure_presentation,
-    coloring_form,
-    fox_matrix,
+    is_irreducible,
     torus_covering_presentation,
+    verify_representation,
 )
+from kreps.presentations import coloring_form
 
 D = BinaryDihedralElt.d
 R = BinaryDihedralElt.r
@@ -134,9 +133,15 @@ def test_count_from_colorings():
 # -- representations -----------------------------------------------------------
 
 
+def lifted(coloring, m):
+    """Generator i -> R(k_i), k_i the even lift of color i modulo 2m: the
+    assignment a class reads from its angles."""
+    return tuple(R(m, k) for k in _even_lift(coloring, m))
+
+
 def test_build_representation_trefoil_wirtinger():
     pres = wirtinger_trefoil()
-    assignment = build_representation(fox_matrix(pres), (0, 1, 2), 3)
+    assignment = lifted((0, 1, 2), 3)
     assert assignment == (R(3, 0), R(3, 4), R(3, 2))
     assert verify_representation(pres, assignment)
     assert is_irreducible(assignment)
@@ -144,7 +149,7 @@ def test_build_representation_trefoil_wirtinger():
 
 def test_build_representation_trivial_coloring_is_reducible():
     pres = wirtinger_trefoil()
-    assignment = build_representation(fox_matrix(pres), (0, 0, 0), 3)
+    assignment = lifted((0, 0, 0), 3)
     assert assignment == (R(3, 0), R(3, 0), R(3, 0))
     assert verify_representation(pres, assignment)
     assert not is_irreducible(assignment)
@@ -152,15 +157,15 @@ def test_build_representation_trivial_coloring_is_reducible():
 
 def test_build_representation_rejects_non_colorings():
     pres = wirtinger_trefoil()
+    # the lift of a vector that is no coloring fails a relator
+    assert not verify_representation(pres, lifted((0, 1, 1), 3))
     with pytest.raises(ValueError):
-        build_representation(fox_matrix(pres), (0, 1, 1), 3)
-    with pytest.raises(ValueError):
-        build_representation(fox_matrix(pres), (0, 1, 2), 4)  # even modulus
+        lifted((0, 1, 2), 4)  # even modulus
 
 
 def test_verify_rejects_perturbed_assignment():
     pres = wirtinger_trefoil()
-    assignment = build_representation(fox_matrix(pres), (0, 1, 2), 3)
+    assignment = lifted((0, 1, 2), 3)
     perturbed = (assignment[0], R(3, assignment[1].angle + 1), assignment[2])
     assert not verify_representation(pres, perturbed)
 

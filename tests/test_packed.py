@@ -16,7 +16,6 @@ from kreps.braids import (
     parse_braid,
     random_knot_braid,
 )
-from kreps.cli import _LONG_WORDS
 from kreps.intlinalg import IntMatrix, enumerate_solutions_mod, smith_normal_form
 from kreps.laurent import (
     LaurentMatrix,
@@ -26,6 +25,7 @@ from kreps.laurent import (
     laurent_minor_gcd,
     normalize_unit,
 )
+from kreps.oracles import LONG_WORDS
 from kreps.presentations import (
     _burau_columns,
     _jacobian_rows,
@@ -165,7 +165,7 @@ def test_alexander_matrix_matches_the_laurent_rule_on_words_that_resize():
     initial = _width(1) + presentations._HEADROOM
     # Delta^800, the full twist being Delta^2
     pair = (parse_braid("1 2", 3), full_twist(3) ** 400)
-    knots = [parse_braid(text, strands) for text, strands in _LONG_WORDS]
+    knots = [parse_braid(text, strands) for text, strands in LONG_WORDS]
     for braids in [pair] + [(a,) for a in knots]:
         assert max(_jacobian_rows(w)[0] for w in braids) > initial, braids
         assert alexander_matrix(*braids) == laurent_alexander_matrix(*braids), braids
@@ -327,7 +327,7 @@ def test_burau_division_matches_the_laurent_rule(a, narrow):
 
 
 def test_burau_division_matches_the_laurent_rule_on_words_that_resize():
-    for text, strands in _LONG_WORDS:
+    for text, strands in LONG_WORDS:
         a = parse_braid(text, strands)
         assert burau_alexander(a) == laurent_burau_alexander(a), a
 

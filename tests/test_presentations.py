@@ -18,21 +18,23 @@ from kreps.laurent import (
     laurent_minor_gcd,
     normalize_unit,
 )
-from kreps.presentations import (
+from kreps.oracles import (
     ClosureDiagram,
     Crossing,
     Presentation,
-    alexander_matrix,
-    alexander_poly,
-    burau_alexander,
     closure_diagram,
     closure_presentation,
-    coloring_form,
     coloring_matrix,
     fox_derivative_abelianized,
     fox_matrix,
-    knot_poly,
     torus_covering_presentation,
+)
+from kreps.presentations import (
+    alexander_matrix,
+    alexander_poly,
+    burau_alexander,
+    coloring_form,
+    knot_poly,
 )
 
 TREFOIL = parse_braid("1^3", 2)
