@@ -18,10 +18,9 @@ The oracles and the ``verify`` sweep live in ``kreps.oracles``, which
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Any, Sequence
 
 from .braids import (
@@ -379,9 +378,6 @@ def _emit(report: dict[str, Any], as_json: bool, stream=None) -> None:
 def _parse_signs(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
-    if not isinstance(text, str):
-        # some argparse versions strip the value of --signs=-- and pass []
-        raise ValueError("--signs lost its value; separate the signs by commas, as --signs=-,-")
     cleaned = text.replace(",", "")
     for ch in cleaned:
         if ch not in "+-":
@@ -392,74 +388,78 @@ def _parse_signs(text: str | None) -> tuple[int, ...] | None:
 def _parse_perm(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
-    if not isinstance(text, str):
-        # argparse may strip the value of --perm=-- too
-        raise ValueError("--perm lost its value; separate the entries by commas, as --perm=2,1")
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by later ones, which
-    only read it."""
-    parser = argparse.ArgumentParser(
-        prog="kreps",
-        description=(
-            "Exact invariants of braid-closure knots and of the surface knots "
-            "spanned by commuting braid pairs: determinants, Alexander "
-            "polynomials, Fox coloring censuses, and irreducible metabelian "
-            "SU(2) representation classes."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_USAGE = """usage: kreps knot BRAID -n N [--rmax R] [--json]
+       kreps surface BRAID_A [BRAID_B | --fulltwist K] -n N [--rmax R] [--json]
+       kreps family N P M [--signs +-+] [--perm 2,1] [--json]
+       kreps verify [--seed S] [--trials T] [--max-strands N] [--max-len L] [--json]"""
+# per command: each positional and option with its type and default (... if required)
+_COMMANDS: dict[str, dict[str, tuple[type, Any]]] = {
+    "knot": {"braid": (str, ...), "--strands": (int, ...), "--rmax": (int, None)},
+    "surface": {"braid_a": (str, ...), "braid_b": (str, ""), "--strands": (int, ...),
+                "--fulltwist": (int, None), "--rmax": (int, None)},
+    "family": {**dict.fromkeys("npm", (int, ...)), "--signs": (str, None), "--perm": (str, None)},
+    "verify": {"--seed": (int, 0), "--trials": (int, 100), "--max-strands": (int, 4), "--max-len": (int, 8)},
+}
 
-    knot = sub.add_parser("knot", help="invariants of a braid closure")
-    knot.add_argument("braid", help="braid word, e.g. '1^3' or '1 -2 1 -2'")
-    knot.add_argument("-n", "--strands", type=int, required=True)
-    knot.add_argument("--rmax", type=int, default=None, help="coloring profile bound")
-    knot.add_argument("--json", action="store_true")
 
-    surface = sub.add_parser("surface", help="invariants of a commuting-pair surface knot")
-    surface.add_argument("braid_a")
-    surface.add_argument("braid_b", nargs="?", default="")
-    surface.add_argument("-n", "--strands", type=int, required=True)
-    surface.add_argument(
-        "--fulltwist",
-        type=int,
-        default=None,
-        metavar="K",
-        help="use the full twist to the power K as the second braid",
-    )
-    surface.add_argument("--rmax", type=int, default=None)
-    surface.add_argument("--json", action="store_true")
+def _option(tok: str, table: dict[str, Any]) -> tuple[str | None, str | None]:
+    """The option of table that tok names (by -h, -n, its name or a unique prefix) and its attached
+    value or None; ("", tok) for an unknown option; (None, tok) for a positional, a token that does
+    not start with '-', is '-', holds a space or starts with '-' and a digit."""
+    short = {"-h": "--help", "-n": "--strands"}.get(tok[:2])
+    if short in table:
+        return short, tok[2:].removeprefix("=") if tok[2:] else None
+    name, eq, value = tok.partition("=")
+    found = [key for key in table if key.startswith(name)] if len(name) > 2 and name[:2] == "--" else []
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {name} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    return (None if tok[:1] != "-" or tok == "-" or " " in tok or tok[1].isdigit() else ""), tok
 
-    family = sub.add_parser("family", help="prime-power family with count assertions")
-    family.add_argument("n", type=int)
-    family.add_argument("p", type=int)
-    family.add_argument("m", type=int)
-    family.add_argument("--signs", default=None, help="e.g. --signs=+-+ or --signs=+,-,+; "
-                        "a value that starts with '-' must be attached: --signs=-+")
-    family.add_argument("--perm", default=None, help="e.g. '2,1'")
-    family.add_argument("--json", action="store_true")
 
-    verify = sub.add_parser("verify", help="seeded randomized oracle sweep")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--max-strands", type=int, default=4)
-    verify.add_argument("--max-len", type=int, default=8)
-    verify.add_argument("--json", action="store_true")
-
-    return parser
+def _parse_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The command and its arguments by keyword, or None for -h/--help; a usage error raises
+    ValueError.  An option's value is the next token unless that is the ``--`` ending the options."""
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and _option(argv[0], {"--help": ...}) == ("--help", None):
+            return None
+        raise ValueError("the first argument must be a command: knot, surface, family or verify")
+    table = {**_COMMANDS[argv[0]], "--json": (bool, False), "--help": (bool, False)}
+    values = {key: default for key, (_, default) in table.items()}
+    free, tokens, dashed = iter([key for key in table if key[0] != "-"]), iter(argv[1:]), False
+    for tok in tokens:
+        if tok == "--" and not dashed:
+            dashed = True
+            continue
+        key, value = (None, tok) if dashed else _option(tok, table)
+        if key is None:
+            key = next(free, "")
+        if not key:
+            raise ValueError(f"unrecognized arguments: {tok}")
+        if table[key][0] is bool and value is not None:
+            raise ValueError(f"argument {key}: ignored explicit argument {value!r}")
+        if value is None:
+            value = True if table[key][0] is bool else next(tokens, "--")
+            if value == "--":
+                raise ValueError(f"argument {key}: expected one argument")
+        values[key] = table[key][0](value)
+    if values.pop("--help"):
+        return None
+    if missing := [key for key, value in values.items() if value is ...]:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=argv[0], **{k.lstrip("-").replace("-", "_"): v for k, v in values.items()})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-
-    try:
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_USAGE)
+            return EXIT_OK
         if args.command == "knot":
             a = parse_braid(args.braid, args.strands)
             report = knot_report(a, args.rmax)

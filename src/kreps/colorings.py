@@ -29,6 +29,7 @@ from .intlinalg import (
     SNFResult,
     enumerate_solutions_mod,
     solution_count_mod,
+    _count_text,
     _enum_cap,
 )
 
@@ -118,7 +119,7 @@ def surface_coloring_census(
         raise ValueError("modulus must be at least 2")
     n = a.strands
     if r**n > _enum_cap(cap):
-        raise EnumerationCapExceeded(f"{r**n} candidate colorings exceed the cap")
+        raise EnumerationCapExceeded(f"{_count_text(r**n, 'candidate colorings')} exceed the cap")
     total = 0
     cond = 0
     nondeg = False

@@ -2,9 +2,11 @@
 
 ``smith_normal_form`` is the only function that reduces a matrix; the
 determinantal divisors and the counting/enumeration of solutions of
-homogeneous systems modulo any r >= 2 are read from its result.  The
-brute-force minors (``oracles.minor_gcd``) are the oracle for the
-divisors.  Plain Python integers throughout, so nothing ever overflows.
+homogeneous systems modulo any r >= 2 are read from its result, the
+divisors and the column transform Q.  No reader needs the row transform,
+so the reduction does not keep one.  The brute-force minors
+(``oracles.minor_gcd``) are the oracle for the divisors.  Plain Python
+integers throughout, so nothing ever overflows.
 """
 
 from __future__ import annotations
@@ -95,11 +97,12 @@ def int_det(m: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Diagonal form P @ A @ Q = diag(divisors), with P, Q unimodular and
-    divisors positive, each dividing the next."""
+    """The Smith normal form of A: the divisors, positive and each dividing
+    the next, and a unimodular Q such that P @ A @ Q = diag(divisors) for
+    some unimodular P, which is not kept.  So column j of A @ Q is
+    divisors[j] times column j of P^-1 for j < rank, and zero past the rank."""
 
     divisors: tuple[int, ...]
-    P: IntMatrix
     Q: IntMatrix
 
     @property
@@ -126,7 +129,7 @@ def _min_abs_nonzero(m: list[list[int]], k: int, rows: int, cols: int) -> tuple[
 
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
-    """Smith normal form with transforms.
+    """Smith normal form with its column transform.
 
     Pivots are chosen as the nonzero entry of minimal absolute value in
     the remaining block, which keeps intermediate entries small.  The
@@ -134,16 +137,12 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     """
     rows, cols = a.rows, a.cols
     m = [list(row) for row in a.entries]
-    p = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     q = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def row_sub(i: int, k: int, f: int) -> None:
         mi, mk = m[i], m[k]
         for j in range(cols):
             mi[j] -= f * mk[j]
-        pi, pk = p[i], p[k]
-        for j in range(rows):
-            pi[j] -= f * pk[j]
 
     def col_sub(j: int, k: int, f: int) -> None:
         for i in range(rows):
@@ -157,7 +156,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             i0, j0 = _min_abs_nonzero(m, k, rows, cols)  # the block is nonzero
             if i0 != k:
                 m[k], m[i0] = m[i0], m[k]
-                p[k], p[i0] = p[i0], p[k]
             if j0 != k:
                 for row in m:
                     row[k], row[j0] = row[j0], row[k]
@@ -165,7 +163,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
                     row[k], row[j0] = row[j0], row[k]
             if m[k][k] < 0:
                 m[k] = [-x for x in m[k]]
-                p[k] = [-x for x in p[k]]
             piv = m[k][k]
             dirty = False
             for i in range(k + 1, rows):
@@ -191,11 +188,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         k += 1
 
     divisors = tuple(m[i][i] for i in range(k))
-    return SNFResult(
-        divisors=divisors,
-        P=IntMatrix.from_rows(p, cols=rows),
-        Q=IntMatrix.from_rows(q, cols=cols),
-    )
+    return SNFResult(divisors=divisors, Q=IntMatrix.from_rows(q, cols=cols))
 
 
 def determinantal_divisor(snf: SNFResult, k: int) -> int:
@@ -217,6 +210,17 @@ def solution_count_mod(snf: SNFResult, r: int) -> int:
     for d in snf.divisors:
         count *= gcd(d, r)
     return count
+
+
+def _count_text(count: int, noun: str) -> str:
+    """``"{count} {noun}"``, or ``"a 1,046-digit number of {noun}"`` once
+    the count has more than 20 digits, which also keeps ``str`` off ints
+    past its 4,300-digit limit."""
+    if count < 10**20:
+        return f"{count} {noun}"
+    digits = int((count.bit_length() - 1) * 0.30102999566398120) + 1
+    digits += count >= 10**digits
+    return f"a {digits:,}-digit number of {noun}"
 
 
 def _enum_cap(cap: int | None) -> int:
@@ -243,7 +247,7 @@ def enumerate_solutions_mod(
     total = solution_count_mod(snf, r)
     limit = _enum_cap(cap)
     if total > limit:
-        raise EnumerationCapExceeded(f"{total} solutions exceed the cap of {limit}")
+        raise EnumerationCapExceeded(f"{_count_text(total, 'solutions')} exceed the cap of {limit}")
     generators = [(r // gcd(d, r), gcd(d, r)) for d in snf.divisors]
     generators += [(1, r)] * (snf.cols - snf.rank)
     solutions = [(0,) * snf.cols]

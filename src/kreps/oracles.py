@@ -481,13 +481,23 @@ def matrix_mismatch(a: IntMatrix, moduli: Iterable[int]) -> str | None:
     against exhaustive search (skipped when r^cols exceeds 12^4); returns
     a description of the first failure, or None."""
     snf = smith_normal_form(a)
-    diagonal = snf.P @ a @ snf.Q
-    for i in range(diagonal.rows):
-        for j in range(diagonal.cols):
-            expected = snf.divisors[i] if i == j and i < snf.rank else 0
-            if diagonal.entries[i][j] != expected:
-                return "reconstruction P A Q is not the diagonal form"
-    for i in range(snf.rank - 1):
+    # some unimodular P has P A Q = diag(d) exactly when Q is unimodular,
+    # column j of A Q is d_j u_j below the rank and zero past it, and
+    # u_1..u_rank extend to a basis of Z^rows: their maximal minors have gcd 1
+    rank = snf.rank
+    if rank > min(a.rows, a.cols) or min(snf.divisors, default=1) < 1:
+        return "divisors out of range"
+    if snf.Q.rows != a.cols or abs(int_det(snf.Q)) != 1:
+        return "column transform Q is not unimodular"
+    columns = list(zip(*(a @ snf.Q).entries))
+    if any(any(column) for column in columns[rank:]) or any(
+        x % d for column, d in zip(columns, snf.divisors) for x in column
+    ):
+        return "A Q is not the diagonal form times a row transform"
+    basis = [[columns[j][i] // snf.divisors[j] for j in range(rank)] for i in range(a.rows)]
+    if minor_gcd(IntMatrix.from_rows(basis, cols=rank), rank) != 1:
+        return "the columns of A Q do not extend to a basis"
+    for i in range(rank - 1):
         if snf.divisors[i + 1] % snf.divisors[i]:
             return "divisor chain broken"
     for k in range(min(a.rows, a.cols) + 1):

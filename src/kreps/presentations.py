@@ -364,8 +364,8 @@ def coloring_form(*braids: BraidWord) -> SNFResult:
 
     M(-1) comes from the letter rules at t = -1 (``_jacobian_at_minus_one``),
     and every row that vanishes there is dropped, including those of M that
-    vanish only at t = -1.  A zero row changes no divisor and no solution;
-    only the row transform P depends on it.
+    vanish only at t = -1.  A zero row changes no divisor, no solution and
+    no column transform.
     """
     if len({word.strands for word in braids}) != 1:
         raise ValueError("one or more braids on the same number of strands are required")

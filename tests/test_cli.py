@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -20,6 +21,7 @@ from kreps.cli import (
     EXIT_USAGE,
     _json_text,
     _odd_prime_factors,
+    _parse_argv,
     _parse_perm,
     _parse_signs,
     main,
@@ -195,15 +197,20 @@ def test_family_with_signs_and_perm(capsys):
 
 
 def test_family_signs_attached_dashes(capsys):
-    # argparse may strip the value of --signs=--; it must then fail cleanly
-    code, out, err = run(capsys, "family", "3", "3", "1", "--signs=--", "--json")
-    if code == EXIT_OK:
-        assert json.loads(out)["input"]["signs"] == [-1, -1]
-    else:
-        assert code == EXIT_USAGE
-        assert err.startswith("error:")
-    report = run_json(capsys, "family", "3", "3", "1", "--signs=-,-", "--json")
-    assert report["input"]["signs"] == [-1, -1]
+    for signs in ("--signs=--", "--signs=-,-"):
+        report = run_json(capsys, "family", "3", "3", "1", signs, "--json")
+        assert report["input"]["signs"] == [-1, -1], signs
+
+
+def test_values_and_words_that_start_with_a_dash(capsys):
+    # argparse read each of these dash-led tokens as an option and refused the line
+    code, out, err = run(capsys, "knot", "-1^3", "-n", "2")
+    assert (code, err) == (EXIT_OK, "")
+    assert run(capsys, "knot", "-n", "2", "--", "-1^3") == (code, out, err)
+    assert run(capsys, "surface", "-1^3", "-1^6", "-n", "2") == run(capsys, "surface", "-n", "2", "--", "-1^3", "-1^6")
+    report = run_json(capsys, "family", "3", "3", "1", "--signs", "-+", "--json")
+    assert report["input"]["signs"] == [-1, 1]
+    assert _parse_argv(["family", "3", "3", "1", "--perm", "-2,1"]).perm == "-2,1"
 
 
 def test_knot_report_never_builds_free_words(capsys, monkeypatch):
@@ -282,7 +289,6 @@ def test_parser_is_reused_across_calls(capsys):
     import kreps
     import kreps.cli as cli
 
-    assert cli.build_parser() is cli.build_parser()
     code, _, err = run(capsys, "knot", "1^3", "--json")
     assert code == EXIT_USAGE and "required" in err
     code, out, _ = run(capsys, "--help")
@@ -451,7 +457,10 @@ def test_cheap_refusals_come_first(capsys):
         assert time.monotonic() - start < 5.0, argv[0]
         assert (code, out) == (expected, ""), argv[0]
         assert err.startswith("error: "), argv[0]
-    assert "exceed the cap" in run(capsys, "knot", knot_over_the_cap, "-n", "3")[2]
+    # the error is one short line, which gives the solution count by its digits
+    err = run(capsys, "knot", knot_over_the_cap, "-n", "3")[2]
+    assert "exceed the cap" in err and "1,046-digit" in err
+    assert len(err.encode()) < 200 and err.count("\n") == 1
 
 
 def test_only_verify_reaches_the_oracles():
@@ -578,14 +587,266 @@ def test_json_round_trip(capsys):
     assert int(report["determinant"]) == 5
 
 
+# -- the argv parser against argparse -------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``kreps`` used before its own, kept as the
+    reference reading of a command line."""
+    parser = argparse.ArgumentParser(prog="kreps")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    knot = sub.add_parser("knot")
+    knot.add_argument("braid")
+    knot.add_argument("-n", "--strands", type=int, required=True)
+    knot.add_argument("--rmax", type=int, default=None)
+    knot.add_argument("--json", action="store_true")
+
+    surface = sub.add_parser("surface")
+    surface.add_argument("braid_a")
+    surface.add_argument("braid_b", nargs="?", default="")
+    surface.add_argument("-n", "--strands", type=int, required=True)
+    surface.add_argument("--fulltwist", type=int, default=None, metavar="K")
+    surface.add_argument("--rmax", type=int, default=None)
+    surface.add_argument("--json", action="store_true")
+
+    family = sub.add_parser("family")
+    family.add_argument("n", type=int)
+    family.add_argument("p", type=int)
+    family.add_argument("m", type=int)
+    family.add_argument("--signs", default=None)
+    family.add_argument("--perm", default=None)
+    family.add_argument("--json", action="store_true")
+
+    verify = sub.add_parser("verify")
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--trials", type=int, default=100)
+    verify.add_argument("--max-strands", type=int, default=4)
+    verify.add_argument("--max-len", type=int, default=8)
+    verify.add_argument("--json", action="store_true")
+
+    return parser
+
+
+INT_ARGUMENTS = {"strands", "rmax", "fulltwist", "n", "p", "m", "seed", "trials", "max_strands", "max_len"}
+VALUE_OPTIONS = {
+    "knot": ("--strands", "--rmax"),
+    "surface": ("--strands", "--fulltwist", "--rmax"),
+    "family": ("--signs", "--perm"),
+    "verify": ("--seed", "--trials", "--max-strands", "--max-len"),
+}
+HELP_TOKENS = {"-h", "--h", "--he", "--hel", "--help"}
+NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def argparse_reading(argv, back=None):
+    """("ok", values), ("help",) or ("error",) from the reference parser,
+    with each placeholder of ``back`` read as the token it stands for."""
+    back = back or {}
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            values = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return ("error",) if exc.code else ("help",)
+    # argparse removes the "--" from an attached value, so --signs=-- gave
+    # [] and --seed=-- an unconverted []; the value is "--"
+    if any(value == [] and key in INT_ARGUMENTS for key, value in values.items()):
+        return ("error",)
+    return "ok", {key: "--" if value == [] else back.get(value, value) for key, value in values.items()}
+
+
+def new_reading(argv):
+    try:
+        values = _parse_argv(argv)
+    except ValueError:
+        return ("error",)
+    return ("help",) if values is None else ("ok", vars(values))
+
+
+def takes_value(command, token):
+    """Whether token names an option of command that takes a value and has
+    none attached."""
+    if token == "-n":
+        return command in ("knot", "surface")
+    if not token.startswith("--") or token == "--" or "=" in token:
+        return False
+    found = [flag for flag in VALUE_OPTIONS.get(command, ()) + ("--json", "--help") if flag.startswith(token)]
+    return len(found) == 1 and found[0] in VALUE_OPTIONS.get(command, ())
+
+
+def with_placeholders(argv):
+    """argv with each dash-led token that argparse read as an option but that
+    is an option's value or a word as -1^3 replaced by a plain placeholder,
+    and the map from placeholders back to tokens: the two fixes, in which the
+    parser reads such a token like any other."""
+    out, back, value_next = list(argv), {}, False
+    for i, token in enumerate(argv[1:], 1):
+        if token == "--":
+            break
+        is_value, value_next = value_next, not value_next and takes_value(argv[0], token)
+        if not token.startswith("-") or token == "-" or " " in token or NEGATIVE_NUMBER.fullmatch(token):
+            continue
+        if is_value or token[1].isdigit():
+            out[i] = f"Z{i}"
+            back[out[i]] = token
+    return out, back
+
+
+def agrees_with_argparse(argv):
+    """Whether the parser reads argv as the reference does, up to the two
+    fixes, two faults of argparse 3.11 and the answer to -h on a line that
+    is wrong elsewhere."""
+    sub, back = with_placeholders(argv)
+    reference, reading = argparse_reading(sub, back), new_reading(argv)
+    if reference == reading:
+        return True
+    if reference == ("help",) and reading == ("error",):
+        # argparse prints the usage as soon as it meets -h; the parser reads
+        # the whole line first and refuses it if it is wrong without -h too
+        end = sub.index("--", 1) if "--" in sub[1:] else len(sub)
+        return argparse_reading([t for i, t in enumerate(sub) if i >= end or t not in HELP_TOKENS]) == ("error",)
+    if reference == ("error",) and reading != ("error",):
+        # argparse refuses a "--" that no positional follows, unless it
+        # directly follows the last one
+        if argv[-1:] == ["--"] and "--" not in argv[1:-1]:
+            return new_reading(argv[:-1]) == reading and agrees_with_argparse(argv[:-1])
+        # and gives the second braid of surface its default as soon as an
+        # option follows the first
+        if reading[0] == "ok" and argv[:1] == ["surface"] and reading[1]["braid_b"]:
+            alone = ("ok", reading[1] | {"braid_b": ""})
+            return any(
+                new_reading(argv[:i] + argv[i + 1 :]) == alone and agrees_with_argparse(argv[:i] + argv[i + 1 :])
+                for i, token in enumerate(argv)
+                if i and token == reading[1]["braid_b"]
+            )
+    return False
+
+
+ARGV_TOKENS = (
+    ["knot", "surface", "family", "verify", "kn", "--", "-", "-h", "--help", "--h", "--he", "-h=", "--bogus", "-x"]
+    + ["-n", "--strands", "--rmax", "--json", "--fulltwist", "--signs", "--perm", "--seed", "--trials"]
+    + ["--max-strands", "--max-len", "--str", "--r", "--js", "--full", "--sig", "--pe", "--se", "--tr"]
+    + ["--max-s", "--max-l", "--max-", "--m", "--s", "--=x"]
+    + ["--strands=3", "--str=2", "-n=3", "-n3", "-n-2", "-n 3", "--rmax=9", "--signs=-+", "--signs=--"]
+    + ["--perm=2,1", "--perm=--", "--json=1", "--js=", "--seed=5", "--fulltwist=2", "--max-len=-1"]
+    + ["0", "1", "2", "3", "5", "-1", "-3", "1^3", "1 -2 1 -2", "-1^3", "-1 2", "- 2", "--str 3", "x", "+-", "-+", "2,1"]
+)
+
+
+# pieces of well-formed command lines, so that many drawn lines are valid:
+# words and values, some starting with '-', options in every spelling, and "--"
+WORDS = ["1^3", "1 -2 1 -2", "-1^3", "-1 2", "-2", "x", "- 2"]
+VALUES = ["2", "3", "-1", "0", "x", "-h", "--json", "-1^3", "-+", "--", "--str 3"]
+PIECES = {
+    "knot": [[w] for w in WORDS] + [["-n", v] for v in VALUES] + [["--str", "3"], ["-n3"], ["-n=2"], ["--strands=3"]]
+    + [["--rmax", v] for v in VALUES] + [["--r=9"], ["--json"], ["--js"]],
+    "surface": [[w] for w in WORDS] + [["-n", v] for v in VALUES] + [["--strands", "2"], ["-n3"]]
+    + [["--fulltwist", v] for v in VALUES] + [["--full=2"], ["--rmax", "9"], ["--json"]],
+    "family": [["3"], ["-1"], ["5"], ["x"], ["-1^3"]] + [["--signs", v] for v in ["+-", "-+", "--", "-,-", "-h"]]
+    + [["--sig=-+"], ["--signs=--"], ["--perm", "2,1"], ["--perm", "-1"], ["--pe=2,1"], ["--perm=--"], ["--json"]],
+    "verify": [["--seed", v] for v in VALUES] + [["--trials", "3"], ["--max-s", "3"], ["--max-l=3"], ["--max-", "3"]]
+    + [["--m", "3"], ["--json"], ["--json=1"]],
+}
+
+
+N_PIECES = [["-n", "2"], ["--strands", "3"], ["--str", "2"], ["-n3"], ["-n=2"], ["--strands=3"]]
+# the pieces that make each command line valid, each one of several spellings
+CORES = {
+    "knot": [[["1^3"], ["-1^3"], ["-1 2"]], N_PIECES],
+    "surface": [[["1^3"], ["-1^3"]], N_PIECES],
+    "family": [[["3"], ["-1"], ["5"]]] * 3,
+    "verify": [],
+}
+
+
+@st.composite
+def argv_lines(draw):
+    """A command with a valid core and a few more pieces, in any order."""
+    command = draw(st.sampled_from(list(PIECES)))
+    core = [draw(st.sampled_from(spellings)) for spellings in CORES[command]]
+    more = PIECES[command] + [["--"], ["-h"]] + [[token] for token in ARGV_TOKENS]
+    extra = draw(st.lists(st.sampled_from(PIECES[command]) | st.sampled_from(more), max_size=4))
+    return [command] + [token for piece in draw(st.permutations(core + extra)) for token in piece]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    argv_lines()
+    | st.builds(list.__add__, st.sampled_from([["knot"], ["surface"], ["family"], ["verify"], []]),
+                st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+)
+def test_parser_reads_argv_as_argparse_did(argv):
+    assert agrees_with_argparse(argv), (argparse_reading(argv), new_reading(argv))
+
+
+def test_parser_keeps_every_documented_form():
+    knot = {"command": "knot", "braid": "1^3", "strands": 2, "rmax": None, "json": False}
+    for argv in (
+        ["knot", "1^3", "-n", "2"],
+        ["knot", "-n", "2", "1^3"],
+        ["knot", "-n2", "1^3"],
+        ["knot", "-n=2", "1^3"],
+        ["knot", "--strands=2", "1^3"],
+        ["knot", "--str", "2", "1^3"],
+        ["knot", "-n", "5", "1^3", "--strands", "2"],
+        ["knot", "-n", "2", "--", "1^3"],
+    ):
+        assert vars(_parse_argv(argv)) == knot, argv
+        assert argparse_reading(argv) == ("ok", knot), argv
+    assert _parse_argv(["knot", "1 -2", "-n", "-3", "--js"]).json is True
+    # after the "--" that ends the options every token is a positional, "--" too
+    assert _parse_argv(["knot", "-n", "2", "--", "--"]).braid == "--"
+    assert argparse_reading(["knot", "-n", "2", "--", "--"])[1]["braid"] == "--"
+    # a token that holds a space is a positional, though it starts with '-'
+    assert _parse_argv(["knot", "-x 2", "-n", "2"]).braid == "-x 2"
+    assert argparse_reading(["knot", "-x 2", "-n", "2"])[1]["braid"] == "-x 2"
+    assert _parse_argv(["knot", "1 -2", "-n", "-3"]).strands == -3
+    surface = _parse_argv(["surface", "-1 2", "-n", "3", "--fulltwist", "-2", "--rmax=12"])
+    assert (surface.braid_a, surface.braid_b, surface.fulltwist, surface.rmax) == ("-1 2", "", -2, 12)
+    assert _parse_argv(["verify", "--max-s", "3", "--max-l=2"]).max_strands == 3
+    for argv, message in (
+        (["verify", "--max-", "3"], "ambiguous"),
+        (["knot", "1^3"], "required"),
+        (["knot", "-n", "2"], "required"),
+        (["family", "3", "3"], "required"),
+        ([], "command"),
+        (["kn"], "command"),
+        (["knot", "1", "2", "-n", "2"], "unrecognized"),
+        (["knot", "1", "-n", "2", "--bogus"], "unrecognized"),
+        (["knot", "1", "-n"], "expected one argument"),
+        (["knot", "1", "-n", "--"], "expected one argument"),
+        (["family", "3", "3", "1", "--signs", "--"], "expected one argument"),
+        (["knot", "1", "-n", "2", "--json=1"], "explicit"),
+        (["knot", "1", "-n", "x"], "int"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _parse_argv(argv)
+
+
+def test_help_and_usage_errors(capsys):
+    for argv in (["-h"], ["--help"], ["--he", "knot"], ["knot", "-h"], ["family", "3", "--help"], ["verify", "--h"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, ""), argv
+        assert out.startswith("usage: kreps") and "verify" in out, argv
+    for argv in ([], ["knot", "1^3"], ["verify", "--max-", "3"], ["knot", "1^3", "-n", "2", "x"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_kreps_does_not_import_argparse():
+    import kreps
+
+    script = "import sys\nimport kreps.cli\nassert 'argparse' not in sys.modules\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(kreps.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+
+
 # -- hostile and malformed input -------------------------------------------------
 
 
 def test_parse_signs_and_perm_edge_cases():
     assert _parse_signs(None) is None and _parse_perm(None) is None
-    for parse in (_parse_signs, _parse_perm):
-        with pytest.raises(ValueError, match="lost its value"):
-            parse([])
 
 
 @given(st.text(alphabet="+-, x", max_size=8))

@@ -7,6 +7,7 @@ import pytest
 from kreps.intlinalg import (
     EnumerationCapExceeded,
     IntMatrix,
+    SNFResult,
     determinantal_divisor,
     enumerate_solutions_mod,
     int_det,
@@ -37,21 +38,66 @@ def brute_solutions(a, r):
     return out
 
 
+def snf_holds(a, snf):
+    """Whether some unimodular P has P A Q = diag(divisors): exactly when Q
+    is unimodular, the columns of A Q past the rank are zero, column j
+    below the rank is d_j u_j, and u_1..u_rank extend to a basis of
+    Z^rows, that is, their maximal minors have gcd 1."""
+    rank = snf.rank
+    if snf.cols != a.cols or rank > min(a.rows, a.cols) or abs(int_det(snf.Q)) != 1:
+        return False
+    if any(d <= 0 for d in snf.divisors):
+        return False
+    columns = [list(column) for column in zip(*(a @ snf.Q).entries)]
+    if any(x != 0 for column in columns[rank:] for x in column):
+        return False
+    if any(x % d for column, d in zip(columns, snf.divisors) for x in column):
+        return False
+    basis = [[columns[j][i] // snf.divisors[j] for j in range(rank)] for i in range(a.rows)]
+    return minor_gcd(IntMatrix.from_rows(basis, cols=rank), rank) == 1
+
+
 def check_snf(a):
     snf = smith_normal_form(a)
-    diag = snf.P @ a @ snf.Q
-    for i in range(diag.rows):
-        for j in range(diag.cols):
-            expected = snf.divisors[i] if i == j and i < snf.rank else 0
-            assert diag.entries[i][j] == expected
-    for d in snf.divisors:
-        assert d > 0
+    assert snf_holds(a, snf)
     for i in range(snf.rank - 1):
         assert snf.divisors[i + 1] % snf.divisors[i] == 0
-    assert abs(int_det(snf.P)) == 1
-    assert abs(int_det(snf.Q)) == 1
-    assert snf.cols == a.cols
     return snf
+
+
+def test_snf_check_refuses_wrong_forms(monkeypatch):
+    import kreps.oracles as oracles
+
+    identity = IntMatrix.from_rows([[1, 0], [0, 1]])
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    wrong = (
+        # a column of A Q that is not a multiple of its divisor
+        (IntMatrix.from_rows([[2, 0], [0, 3]]), SNFResult((1, 6), identity)),
+        # a divisor that reaches only a proper sublattice: 2 = 1 * 2, but no
+        # unimodular P sends 2 to 1
+        (IntMatrix.from_rows([[2]]), SNFResult((1,), IntMatrix.from_rows([[1]]))),
+        (IntMatrix.from_rows([[2, 0], [0, 4]]), SNFResult((1, 4), identity)),
+        # a nonzero column past the rank
+        (IntMatrix.from_rows([[0, 5]]), SNFResult((), swap)),
+        # a Q that is not unimodular
+        (IntMatrix.from_rows([[1, 0], [0, 1]]), SNFResult((1, 1), IntMatrix.from_rows([[1, 0], [0, 2]]))),
+        # a negative divisor and a rank above the shape
+        (IntMatrix.from_rows([[1]]), SNFResult((-1,), IntMatrix.from_rows([[-1]]))),
+        (IntMatrix.from_rows([[1]]), SNFResult((1, 1), IntMatrix.from_rows([[1]]))),
+    )
+    for a, fake in wrong:
+        assert smith_normal_form(a) != fake
+        assert not snf_holds(a, fake), a.entries
+        monkeypatch.setattr(oracles, "smith_normal_form", lambda m, fake=fake: fake)
+        assert oracles.matrix_mismatch(a, ()) is not None, a.entries
+    # the same column transforms with the divisors they do give pass
+    for a, snf in (
+        (IntMatrix.from_rows([[2, 0], [0, 4]]), SNFResult((2, 4), identity)),
+        (IntMatrix.from_rows([[0, 5]]), SNFResult((5,), swap)),
+    ):
+        assert snf_holds(a, snf)
+        monkeypatch.setattr(oracles, "smith_normal_form", lambda m, snf=snf: snf)
+        assert oracles.matrix_mismatch(a, ()) is None
 
 
 def test_snf_examples():
@@ -111,6 +157,18 @@ def test_enumeration_cap():
     zero = snf_of([[0, 0, 0, 0]], cols=4)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_solutions_mod(zero, 100, cap=10)
+
+
+def test_cap_message_gives_a_large_count_by_its_digits():
+    from kreps.intlinalg import _count_text
+
+    for count in (0, 7, 10**20 - 1):
+        assert _count_text(count, "solutions") == f"{count} solutions"
+    for digits in (21, 22, 1046, 4300, 5000):
+        for count in (10 ** (digits - 1), 10**digits - 1, 3 * 10 ** (digits - 1) + 1):
+            assert _count_text(count, "solutions") == f"a {digits:,}-digit number of solutions", count
+    with pytest.raises(EnumerationCapExceeded, match="a 61-digit number of solutions exceed the cap of 10"):
+        enumerate_solutions_mod(snf_of([[0, 0, 0]], cols=3), 10**20, cap=10)
 
 
 def test_enumeration_cap_env(monkeypatch):
