@@ -40,6 +40,7 @@ from .intlinalg import (
     enumerate_solutions_mod,
     int_det,
     smith_normal_form,
+    solution_columns_mod,
     solution_count_mod,
 )
 from .laurent import (

@@ -19,7 +19,10 @@ The oracles and the ``verify`` sweep live in ``kreps.oracles``, which
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import mul
 from types import SimpleNamespace
 from typing import Any, Sequence
 
@@ -54,6 +57,9 @@ from .presentations import (
     coloring_form,
     knot_poly,
 )
+
+# the largest --rmax: the profile has one row per modulus up to it
+MAX_RMAX = 10_000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -297,7 +303,14 @@ def _print_table(report: dict[str, Any], stream) -> None:
     if "family" in report:
         for key, value in report["family"].items():
             line(f"family.{key}", value)
-    for key in ("braids_checked", "matrices_checked", "commuting_pairs_checked", "failure", "passed"):
+    for key in (
+        "braids_checked",
+        "matrices_checked",
+        "commuting_pairs_checked",
+        "class_forms_checked",
+        "failure",
+        "passed",
+    ):
         if key in report:
             line(key, report[key])
 
@@ -312,6 +325,50 @@ def _ints_text(values: Sequence[int], pad: str) -> str:
     return f"[\n{inner}{sep.join(map(int.__repr__, values))}\n{pad}]"
 
 
+@lru_cache(maxsize=64)
+def _class_template(length: int, pad: str) -> str:
+    """The text of a ``RepClass`` whose coloring and angles have ``length``
+    entries, nested at the indentation ``pad``, with one ``%d`` for each
+    angle, then each color, then the modulus."""
+    inner = pad + "  "
+    ints = f"[\n{inner}  " + f",\n{inner}  ".join(["%d"] * length) + f"\n{inner}]" if length else "[]"
+    return f'{{\n{inner}"angles": {ints},\n{inner}"coloring": {ints},\n{inner}"modulus": %d\n{pad}}}'
+
+
+def _classes_text(classes: Sequence[RepClass], pad: str) -> str | None:
+    """The items of a list of classes, each nested at the indentation
+    ``pad`` and joined as ``_json_text`` joins list items; or None, for the
+    per-record path, unless every coloring and every angle tuple has one
+    length and every entry is an int.
+
+    The columns (the angles, the colorings, the moduli) are flattened into
+    one tuple of ints in the order they are written, checked by one
+    ``map(type, ...)``, and written by one ``%`` of the class template
+    repeated once per class, so no int goes through a Python-level call."""
+    moduli, colorings, angles = zip(*classes)
+    lengths = set(map(len, colorings + angles))
+    if len(lengths) != 1:
+        return None
+    ints = tuple(chain.from_iterable(chain.from_iterable(zip(angles, colorings, zip(moduli)))))
+    if not {int}.issuperset(map(type, ints)):
+        return None
+    template = _class_template(lengths.pop(), pad)
+    return (template + (",\n" + pad + template) * (len(classes) - 1)) % ints
+
+
+def _rows_text(rows: Sequence[ProfileRow], pad: str) -> str | None:
+    """The items of a list of profile rows, as ``_classes_text`` writes
+    classes: one ``%`` of the row template repeated once per row, or None,
+    for the per-record path, unless every r and count is an int."""
+    rs, counts = zip(*rows)
+    if not {int}.issuperset(map(type, rs + counts)):
+        return None
+    ints = tuple(chain.from_iterable(zip(counts, rs, map(mul, rs, counts))))
+    inner = pad + "  "
+    template = f'{{\n{inner}"condition_o": %d,\n{inner}"r": %d,\n{inner}"total": %d\n{pad}}}'
+    return (template + (",\n" + pad + template) * (len(rows) - 1)) % ints
+
+
 def _json_text(value: Any, pad: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` nested at the
     indentation ``pad``, for the types a report holds: dicts with string
@@ -320,8 +377,10 @@ def _json_text(value: Any, pad: str = "") -> str:
     ``ProfileRow``, written as the dicts of their fields (and a profile
     row's ``total``); any other type raises TypeError.
 
-    A record is written by one template over its sorted keys, and a list
-    of plain ints by one join.
+    A record is written by one template over its sorted keys, a list of
+    plain ints by one join, and a list of classes of one length or of
+    profile rows by one template for the whole list (``_classes_text``,
+    ``_rows_text``).
     """
     kind = type(value)
     if kind is int:
@@ -350,9 +409,16 @@ def _json_text(value: Any, pad: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
+        kinds = set(map(type, value))
+        if kinds == {int}:
             return _ints_text(value, pad)
-        body = (",\n" + inner).join([_json_text(item, inner) for item in value])
+        body = None
+        if kinds == {RepClass}:
+            body = _classes_text(value, inner)
+        elif kinds == {ProfileRow}:
+            body = _rows_text(value, inner)
+        if body is None:
+            body = (",\n" + inner).join([_json_text(item, inner) for item in value])
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -454,12 +520,31 @@ def _parse_argv(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **{k.lstrip("-").replace("-", "_"): v for k, v in values.items()})
 
 
+def _check_verify_options(args: SimpleNamespace) -> None:
+    """Refuse ``verify`` options that leave nothing to check or no knot to
+    draw: a knot word on n strands needs at least n - 1 letters, so
+    ``random_knot_braid`` would never return past max_len + 1 strands."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.max_strands < 2:
+        raise ValueError(f"--max-strands must be at least 2, got {args.max_strands}")
+    if args.max_len < 1:
+        raise ValueError(f"--max-len must be at least 1, got {args.max_len}")
+    if args.max_strands > args.max_len + 1:
+        raise ValueError(
+            f"--max-strands {args.max_strands} needs --max-len at least {args.max_strands - 1}, "
+            f"got {args.max_len}"
+        )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse_argv(sys.argv[1:] if argv is None else argv)
         if args is None:
             print(_USAGE)
             return EXIT_OK
+        if getattr(args, "rmax", None) is not None and args.rmax > MAX_RMAX:
+            raise ValueError(f"--rmax {args.rmax} exceeds {MAX_RMAX}")
         if args.command == "knot":
             a = parse_braid(args.braid, args.strands)
             report = knot_report(a, args.rmax)
@@ -482,6 +567,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             perm = _parse_perm(args.perm)
             report = family_report(args.n, args.p, args.m, signs, perm)
         else:
+            _check_verify_options(args)
             from .oracles import verify_report
 
             report, failure = verify_report(

@@ -229,6 +229,37 @@ def _enum_cap(cap: int | None) -> int:
     return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
 
 
+def solution_columns_mod(snf: SNFResult, r: int, cap: int | None = None) -> list[list[int]]:
+    """The solutions of ``enumerate_solutions_mod`` as one list per
+    coordinate: solution j is the j-th entry of each list.  With no
+    columns there is one solution, the empty vector, and no list.
+
+    Each generator extends the coordinate lists by one comprehension that
+    adds its multiples to the sums so far, so no solution is built as a
+    tuple.  Raises EnumerationCapExceeded as ``enumerate_solutions_mod``."""
+    total = solution_count_mod(snf, r)
+    limit = _enum_cap(cap)
+    if total > limit:
+        raise EnumerationCapExceeded(f"{_count_text(total, 'solutions')} exceed the cap of {limit}")
+    generators = [(r // gcd(d, r), gcd(d, r)) for d in snf.divisors]
+    generators += [(1, r)] * (snf.cols - snf.rank)
+    columns = [[0] for _ in range(snf.cols)]
+    count = 1
+    for column, (step, order) in zip(zip(*snf.Q.entries), generators):
+        if order == 1:
+            continue
+        multiples = range(order)
+        scaled = [step * q % r for q in column]
+        if count == 1:
+            columns = [[c * k % r for k in multiples] for c in scaled]
+        else:
+            columns = [
+                [(x + c * k) % r for k in multiples for x in sums] for sums, c in zip(columns, scaled)
+            ]
+        count *= order
+    return columns
+
+
 def enumerate_solutions_mod(
     snf: SNFResult, r: int, cap: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -239,27 +270,11 @@ def enumerate_solutions_mod(
     multiples of r/gcd(d_i, r) and the free coordinates run over all
     residues.  So the solution group is generated by one step-scaled
     column of Q per nontrivial divisor or free column, and the solutions
-    are the sums of the generators' multiples, built one generator at a
-    time; a cyclic group needs the multiples of one vector only.  Raises
+    are the sums of the generators' multiples.  They are built one list
+    per coordinate (``solution_columns_mod``) and zipped once into
+    tuples; with no columns the one solution is ``()``.  Raises
     EnumerationCapExceeded if the solution count exceeds the cap (default
     10**6, overridable via KREPS_ENUM_CAP).
     """
-    total = solution_count_mod(snf, r)
-    limit = _enum_cap(cap)
-    if total > limit:
-        raise EnumerationCapExceeded(f"{_count_text(total, 'solutions')} exceed the cap of {limit}")
-    generators = [(r // gcd(d, r), gcd(d, r)) for d in snf.divisors]
-    generators += [(1, r)] * (snf.cols - snf.rank)
-    solutions = [(0,) * snf.cols]
-    for column, (step, order) in zip(zip(*snf.Q.entries), generators):
-        if order == 1:
-            continue
-        scaled = [step * q % r for q in column]
-        multiples = list(zip(*[[c * k % r for k in range(order)] for c in scaled]))
-        if len(solutions) == 1:
-            solutions = multiples
-        else:
-            solutions = [
-                tuple([(x + y) % r for x, y in zip(s, m)]) for m in multiples for s in solutions
-            ]
-    return solutions
+    columns = solution_columns_mod(snf, r, cap)
+    return list(zip(*columns)) if columns else [()]

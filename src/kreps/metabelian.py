@@ -24,19 +24,23 @@ D(0)/D(m) to be trivial, so the lifted assignment satisfies all relators
 exactly.  The oracles ``oracles.verify_representation`` and
 ``oracles.is_irreducible`` check that on free-word relators.
 
-``enumerate_rep_classes`` keeps each class as its coloring and the even
-lifts as plain ints, and builds the assignment only when it is read.  It
-sorts the classes by coloring itself, since the solution enumeration it
-draws on (``intlinalg.enumerate_solutions_mod``) promises no order.
+``enumerate_rep_classes`` keeps each class as a ``RepClass`` record, a
+NamedTuple of the modulus, the coloring and the even lifts as plain ints,
+and builds the assignment only when it is read.  It works on the
+solutions one coordinate list at a time (``intlinalg.solution_columns_mod``)
+and sorts the classes by coloring itself, since the enumeration promises
+no order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, repeat
+from typing import NamedTuple
 
 from .braids import is_odd_prime
-from .intlinalg import SNFResult, determinantal_divisor, enumerate_solutions_mod
+from .intlinalg import SNFResult, determinantal_divisor, solution_columns_mod
 
 
 @dataclass(frozen=True)
@@ -120,14 +124,7 @@ def count_from_colorings(col_p: int, p: int) -> int:
     return (col_p - p) // (2 * p)
 
 
-def _even_lift(coloring: Sequence[int], m: int) -> tuple[int, ...]:
-    """The even representative k_i modulo 2m of each color modulo m."""
-    residues = [c % m for c in coloring]
-    return tuple([c if c % 2 == 0 else c + m for c in residues])
-
-
-@dataclass(frozen=True)
-class RepClass:
+class RepClass(NamedTuple):
     """One conjugacy class: the defining coloring (base generator pinned
     to 0) and the even lifts of its colors modulo 2 * modulus, the angles
     of the exact binary dihedral assignment.  A list of classes is in
@@ -153,29 +150,43 @@ def enumerate_rep_classes(form: SNFResult, cap: int | None = None) -> list[RepCl
     (``presentations.coloring_form``); the zero solution is reducible and
     dropped, and c, -c give conjugate representations, so representatives
     keep the lexicographically smaller of the pair: (det - 1) / 2 classes.
+    As det is odd, those are the solutions whose first nonzero color is at
+    most det // 2.
+
+    The solutions arrive one list per coordinate
+    (``intlinalg.solution_columns_mod``) and are zipped and sorted once.
+    In sorted order, the solutions whose first nonzero color is color j
+    and at most det // 2 form one slice, found by two bisections, and the
+    slices for later j come first; so the choice takes two bisections per
+    leading zero instead of a scan of each solution.
+    The colors are lifted to angles one coordinate at a time, and the
+    records are built by one ``map``.  ``oracles.scan_rep_classes`` keeps
+    the rule this replaced, a scan of each solution, as its check.
     """
     det = determinantal_divisor(form, form.cols)
     if det < 1 or det % 2 == 0:
         raise ValueError("expected a positive odd determinant")
     if det == 1:
         return []
-    solutions = enumerate_solutions_mod(form, det, cap=cap)
-    if len(solutions) != det:
+    columns = solution_columns_mod(form, det, cap=cap)
+    if len(columns[0]) != det:
         raise RuntimeError(
-            f"expected {det} base-pinned colorings, found {len(solutions)}"
+            f"expected {det} base-pinned colorings, found {len(columns[0])}"
         )
-    # det is odd, so s != -s for every nonzero s, and s is the smaller of
-    # the pair exactly when its first nonzero color c has c < det - c
+    # the pinned base color rides along as a column of zeros
+    solutions = sorted(zip(*columns, [0] * det))
     half = det // 2
-    chosen = []
-    for sol in solutions:
-        for c in sol:
-            if c:
-                if c <= half:
-                    chosen.append(sol)
-                break
-    chosen.sort()
-    return [
-        RepClass(modulus=det, coloring=free + (0,), angles=_even_lift(free, det) + (0,))
-        for free in chosen
-    ]
+    slices = []
+    zeros: tuple[int, ...] = ()
+    end = det  # solutions[:end] are those whose first len(zeros) colors are 0
+    while end > 1:
+        start = bisect_left(solutions, zeros + (1,), 0, end)
+        slices.append(solutions[start : bisect_left(solutions, zeros + (half + 1,), start, end)])
+        zeros += (0,)
+        end = start
+    chosen = list(chain.from_iterable(reversed(slices)))
+    # the even representative modulo 2 det of each color modulo det
+    lift = list(range(det))
+    lift[1::2] = range(det + 1, 2 * det, 2)
+    angles = zip(*[map(lift.__getitem__, colors) for colors in zip(*chosen)])
+    return list(map(RepClass, repeat(det), chosen, angles))

@@ -15,12 +15,15 @@ routes here reach the same numbers another way:
 * the gcd of all k x k minors (``minor_gcd``), for the determinantal
   divisors;
 * binary dihedral images evaluated on the free-word relators
-  (``verify_representation``, ``is_irreducible``), for the classes.
+  (``verify_representation``, ``is_irreducible``), for the classes;
+* the class list by a scan for each solution's first nonzero color
+  (``scan_rep_classes``), for the choice of representatives.
 
-``braid_mismatch``, ``long_word_mismatch``, ``matrix_mismatch`` and
-``pair_mismatch`` each run every check on one input and return a
-description of the first failure, or None.  ``verify_report`` runs them
-over a seeded sweep; the acceptance tests call them on their own seeds.
+``braid_mismatch``, ``long_word_mismatch``, ``matrix_mismatch``,
+``class_mismatch`` and ``pair_mismatch`` each run every check on one
+input and return a description of the first failure, or None.
+``verify_report`` runs them over a seeded sweep; the acceptance tests
+call them on their own seeds.
 
 Conventions:
 
@@ -44,7 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from typing import Any, Iterable, Sequence
 
 from .braids import (
@@ -68,7 +71,7 @@ from .intlinalg import (
     solution_count_mod,
 )
 from .laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd, poly_str
-from .metabelian import BinaryDihedralElt, bd_inv, bd_mul, enumerate_rep_classes
+from .metabelian import BinaryDihedralElt, RepClass, bd_inv, bd_mul, enumerate_rep_classes
 from .presentations import alexander_matrix, alexander_poly, burau_alexander, coloring_form, knot_poly
 
 # -- free-word presentations and Fox calculus ---------------------------------
@@ -363,7 +366,47 @@ def is_irreducible(assignment: Sequence[BinaryDihedralElt]) -> bool:
     return any(elt.angle % m != first for elt in assignment[1:])
 
 
+def scan_rep_classes(form: SNFResult, cap: int | None = None) -> list[RepClass]:
+    """The classes of ``metabelian.enumerate_rep_classes``, one solution
+    tuple at a time: each nonzero solution modulo det is kept when its
+    first nonzero color c has c <= det // 2 (the smaller of c and -c, as
+    det is odd), the kept ones are sorted, and each color is lifted to its
+    even representative modulo 2 det."""
+    det = determinantal_divisor(form, form.cols)
+    if det < 1 or det % 2 == 0:
+        raise ValueError("expected a positive odd determinant")
+    if det == 1:
+        return []
+    half = det // 2
+    chosen = []
+    for sol in enumerate_solutions_mod(form, det, cap=cap):
+        for c in sol:
+            if c:
+                if c <= half:
+                    chosen.append(sol)
+                break
+    chosen.sort()
+    return [
+        RepClass(det, free + (0,), tuple([c if c % 2 == 0 else c + det for c in free]) + (0,))
+        for free in chosen
+    ]
+
+
 # -- cross-checks, one input each ---------------------------------------------------
+
+
+def class_mismatch(form: SNFResult) -> str | None:
+    """``enumerate_rep_classes`` against ``scan_rep_classes`` on one form
+    with a positive odd determinant; returns a description of the first
+    failure, or None."""
+    got, expected = enumerate_rep_classes(form), scan_rep_classes(form)
+    if got == expected:
+        return None
+    det = determinantal_divisor(form, form.cols)
+    if len(got) != len(expected):
+        return f"{len(got)} classes mod {det}, the scan finds {len(expected)}"
+    index = next(i for i, (x, y) in enumerate(zip(got, expected)) if x != y)
+    return f"class {index} mod {det} is {tuple(got[index])}, the scan gives {tuple(expected[index])}"
 
 
 def _snf_at_minus_one(m: LaurentMatrix) -> SNFResult:
@@ -391,6 +434,9 @@ def braid_mismatch(a: BraidWord) -> str | None:
             return f"knot minor {poly_str(poly)} != {route} {poly_str(other)}"
     if det != abs(poly.evaluate(-1)):
         return f"determinant {det} != |poly(-1)|"
+    mismatch = class_mismatch(form)
+    if mismatch is not None:
+        return mismatch
     for rc in enumerate_rep_classes(form):
         if not verify_representation(presentation, rc.assignment):
             return f"class of coloring {rc.coloring} fails a free-word relator"
@@ -471,6 +517,39 @@ def random_int_matrix(rng: random.Random) -> IntMatrix:
     )
 
 
+# the odd factors by which each invariant factor of random_odd_det_matrix
+# grows from the last: 1 repeats a factor, which makes the group non-cyclic
+_ODD_STEPS = (1, 1, 3, 3, 5, 7, 9, 11)
+# the largest determinant random_odd_det_matrix draws
+_ODD_DET_BOUND = 3**6
+
+
+def random_odd_det_matrix(rng: random.Random) -> IntMatrix:
+    """A matrix of 1..4 columns and up to two more rows with full column
+    rank and an odd determinant of at most 3^6: a chain of odd invariant
+    factors, cyclic, non-cyclic, prime or composite, on the diagonal,
+    hidden by up to six random unimodular row and six column operations."""
+    while True:
+        cols = rng.randint(1, 4)
+        divisors = [rng.choice(_ODD_STEPS)]
+        while len(divisors) < cols:
+            divisors.append(divisors[-1] * rng.choice(_ODD_STEPS))
+        if prod(divisors) <= _ODD_DET_BOUND:
+            break
+    rows = cols + rng.randint(0, 2)
+    grid = [[divisors[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(6):
+        f = rng.choice((-2, -1, 1, 2))
+        if rows > 1:
+            i, k = rng.sample(range(rows), 2)
+            grid[i] = [x + f * y for x, y in zip(grid[i], grid[k])]
+        if cols > 1:
+            j, k = rng.sample(range(cols), 2)
+            for row in grid:
+                row[j] += f * row[k]
+    return IntMatrix.from_rows(grid, cols=cols)
+
+
 # the most candidate vectors r^cols that matrix_mismatch searches exhaustively
 _BRUTE_CANDIDATES = 12**4
 
@@ -541,9 +620,10 @@ def verify_report(
     seed: int, trials: int, max_strands: int, max_len: int
 ) -> tuple[dict[str, Any], str | None]:
     """The ``kreps verify`` report and its failure, or None: ``trials``
-    random knot braids, then the long words, random integer matrices and
-    random braids paired with full-twist powers, all from one seeded
-    stream.  A failing braid is minimized before it is reported."""
+    random knot braids, then the long words, random integer matrices,
+    random braids paired with full-twist powers and the class lists of
+    random odd-determinant matrices, all from one seeded stream.  A
+    failing braid is minimized before it is reported."""
     rng = random.Random(seed)
     failure: str | None = None
     braids_checked = 0
@@ -583,6 +663,16 @@ def verify_report(
                 break
             pairs_checked += 1
 
+    forms_checked = 0
+    if failure is None:
+        for _ in range(max(trials // 2, 25)):
+            m = random_odd_det_matrix(rng)
+            mismatch = class_mismatch(smith_normal_form(m))
+            if mismatch is not None:
+                failure = f"matrix {m.entries}: {mismatch}"
+                break
+            forms_checked += 1
+
     report = {
         "input": {
             "kind": "verify",
@@ -594,6 +684,7 @@ def verify_report(
         "braids_checked": braids_checked,
         "matrices_checked": matrices_checked,
         "commuting_pairs_checked": pairs_checked,
+        "class_forms_checked": forms_checked,
         "failure": failure,
         "passed": failure is None,
     }

@@ -572,6 +572,53 @@ def test_verify_checks_every_class_on_the_relators(capsys, monkeypatch):
         assert message in json.loads(out)["failure"], name
 
 
+@pytest.mark.parametrize(
+    "options, option",
+    [
+        (["--trials", "-1"], "--trials"),
+        (["--trials", "0"], "--trials"),
+        (["--max-strands", "1"], "--max-strands"),
+        (["--max-len", "0"], "--max-len"),
+        (["--max-len", "-5", "--max-strands", "2"], "--max-len"),
+        (["--max-strands", "1000000000", "--max-len", "3", "--trials", "1"], "--max-strands"),
+        (["--max-strands", "6", "--max-len", "4"], "--max-strands"),
+    ],
+)
+def test_verify_refuses_options_that_check_nothing(capsys, monkeypatch, options, option):
+    from kreps.braids import random_knot_braid
+
+    # refused before any braid is drawn
+    patch_kreps_bindings(monkeypatch, random_knot_braid, None)
+    code, out, err = run(capsys, "verify", *options)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: " + option) and err.count("\n") == 1, err
+
+
+def test_verify_accepts_the_smallest_options(capsys):
+    report = run_json(capsys, "verify", "--trials", "1", "--max-strands", "2", "--max-len", "1", "--json")
+    assert report["passed"] and report["braids_checked"] == 1
+    report = run_json(capsys, "verify", "--trials", "1", "--max-strands", "4", "--max-len", "3", "--json")
+    assert report["passed"] and report["class_forms_checked"] == 25
+
+
+def test_rmax_over_the_bound_is_refused_before_any_work(capsys, monkeypatch):
+    import kreps.cli as cli
+
+    monkeypatch.setattr(cli, "parse_braid", None)
+    for argv in (
+        ["knot", "1^3", "-n", "2", "--rmax", "10001"],
+        ["knot", "1^3", "-n", "2", "--rmax", str(10**30), "--json"],
+        ["surface", "1^3", "-n", "2", "--fulltwist", "1", "--rmax", "20000"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err == f"error: --rmax {argv[argv.index('--rmax') + 1]} exceeds 10000\n", argv
+    monkeypatch.undo()
+    assert cli.MAX_RMAX == 10_000
+    report = run_json(capsys, "knot", "1^3", "-n", "2", "--rmax", "12", "--json")
+    assert [row["r"] for row in report["colorings"]] == list(range(2, 13))
+
+
 def test_verify_deterministic(capsys):
     first = run_json(capsys, "verify", "--seed", "7", "--trials", "6", "--json")
     second = run_json(capsys, "verify", "--seed", "7", "--trials", "6", "--json")
@@ -1005,6 +1052,31 @@ json_record_trees = st.recursive(
 )
 
 
+# lists of classes whose colorings and angles all have one length, and
+# lists of profile rows, which _json_text writes by one template per list
+class_lists = st.integers(0, 5).flatmap(
+    lambda n: st.lists(
+        st.builds(
+            RepClass,
+            json_ints,
+            st.lists(json_ints, min_size=n, max_size=n).map(tuple),
+            st.lists(json_ints, min_size=n, max_size=n).map(tuple),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+row_lists = st.lists(st.builds(ProfileRow, json_ints, json_ints), min_size=1, max_size=8)
+class_list_trees = st.recursive(
+    st.one_of(json_scalars, class_lists, row_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
 def as_plain(value):
     """The tree with each record replaced by the dict a report writes for it."""
     if isinstance(value, RepClass):
@@ -1030,6 +1102,26 @@ def test_json_text_writes_records_as_their_dicts(tree):
     assert _json_text(tree) == json.dumps(as_plain(tree), indent=2, sort_keys=True)
 
 
+@settings(max_examples=150, deadline=None)
+@given(class_list_trees)
+def test_json_text_writes_class_and_row_lists_as_their_dicts(tree):
+    assert _json_text(tree) == json.dumps(as_plain(tree), indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(class_lists, row_lists), st.sampled_from(["", "  ", "      "]))
+def test_json_text_writes_a_record_list_as_its_records(records, pad):
+    inner = pad + "  "
+    items = (",\n" + inner).join([_json_text(record, inner) for record in records])
+    assert _json_text(records, pad) == f"[\n{inner}{items}\n{pad}]"
+
+
+def test_json_text_writes_records_with_bools_as_the_record_path_does():
+    classes = [RepClass(3, (True, 0), (4, False)), RepClass(3, (1, 0), (4, 0))]
+    assert _json_text(classes) == _json_text([RepClass(3, (1, 0), (4, 0))] * 2)
+    assert _json_text([ProfileRow(3, True)] * 2) == _json_text([ProfileRow(3, 1)] * 2)
+
+
 def test_json_text_refuses_floats_and_keys_that_are_not_strings():
     for value in (1.5, [1, 2.0], {"a": (3, float("nan"))}, {1: 2}):
         with pytest.raises(TypeError):
@@ -1045,3 +1137,17 @@ def test_json_text_refuses_floats_and_keys_that_are_not_strings():
         for value in (record, [record], {"a": [1, record]}):
             with pytest.raises(TypeError):
                 _json_text(value)
+    # inside lists of classes that all have one length, and past 2^200
+    big = RepClass(2**200 + 1, (2**201, 0), (-(2**199), 0))
+    for record in records[:3]:
+        for value in ([big, record], [record, big, big], {"classes": [big] * 3 + [record]}):
+            with pytest.raises(TypeError):
+                _json_text(value)
+    for value in ([big, RepClass(3, (float("nan"), 0), (4, 0))], [RepClass(3, (1, 0), (4, float("inf")))] * 2):
+        with pytest.raises(TypeError):
+            _json_text(value)
+    # and inside lists of profile rows, where the total is r times the count
+    row = ProfileRow(2**200 + 1, -(2**201))
+    for value in ([row, ProfileRow(2.0, 1)], [row] * 3 + [ProfileRow(2, 1.5)], [ProfileRow("ab", 2**70)]):
+        with pytest.raises(TypeError):
+            _json_text(value)

@@ -10,6 +10,7 @@ from kreps.intlinalg import (
     SNFResult,
     determinantal_divisor,
     enumerate_solutions_mod,
+    solution_columns_mod,
     int_det,
     smith_normal_form,
     solution_count_mod,
@@ -151,6 +152,23 @@ def test_enumeration_examples():
     sols = enumerate_solutions_mod(snf_of([[1, 2], [2, 4]]), 6)
     assert (0, 0) in sols
     assert len(sols) == len(set(sols)) == solution_count_mod(snf_of([[1, 2], [2, 4]]), 6)
+
+
+def test_solution_columns_are_the_enumeration_by_coordinate():
+    rng = random.Random(24)
+    for _ in range(60):
+        snf = smith_normal_form(random_matrix(rng, 3, 9))
+        r = rng.randint(2, 12)
+        columns = solution_columns_mod(snf, r)
+        assert len(columns) == snf.cols
+        assert list(zip(*columns)) == enumerate_solutions_mod(snf, r)
+    empty = snf_of([[]], cols=0)
+    assert solution_columns_mod(empty, 5) == []
+    assert enumerate_solutions_mod(empty, 5) == [()]
+    # a first generator of order 1 leaves the zero solution
+    assert solution_columns_mod(snf_of([[1, 0], [0, 1]]), 7) == [[0], [0]]
+    with pytest.raises(EnumerationCapExceeded):
+        solution_columns_mod(snf_of([[0, 0, 0, 0]], cols=4), 100, cap=10)
 
 
 def test_enumeration_cap():

@@ -1,16 +1,18 @@
 import importlib.util
 import random
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreps.braids import FreeWord, full_twist, parse_braid, prime_twist_family
-from kreps.intlinalg import determinantal_divisor
+from kreps.intlinalg import IntMatrix, determinantal_divisor, smith_normal_form
 from kreps.metabelian import (
     BinaryDihedralElt,
-    _even_lift,
+    RepClass,
     bd_inv,
     bd_mul,
     count_from_colorings,
@@ -19,8 +21,11 @@ from kreps.metabelian import (
 )
 from kreps.oracles import (
     Presentation,
+    class_mismatch,
     closure_presentation,
     is_irreducible,
+    random_odd_det_matrix,
+    scan_rep_classes,
     torus_covering_presentation,
     verify_representation,
 )
@@ -136,7 +141,7 @@ def test_count_from_colorings():
 def lifted(coloring, m):
     """Generator i -> R(k_i), k_i the even lift of color i modulo 2m: the
     assignment a class reads from its angles."""
-    return tuple(R(m, k) for k in _even_lift(coloring, m))
+    return tuple(R(m, c % m if c % m % 2 == 0 else c % m + m) for c in coloring)
 
 
 def test_build_representation_trefoil_wirtinger():
@@ -326,3 +331,86 @@ def test_classes_match_the_reference_on_family_surfaces():
         form = coloring_form(c, b)
         got = [(rc.modulus, rc.coloring, rc.angles, rc.assignment) for rc in enumerate_rep_classes(form)]
         assert got == reference_classes(form), (str(c), str(b))
+
+
+# -- the class list against the scan it replaced -------------------------------
+
+
+def test_rep_class_is_a_named_tuple():
+    rc = enumerate_rep_classes(coloring_form(TREFOIL))[0]
+    assert isinstance(rc, tuple) and type(rc) is RepClass
+    assert rc == (3, (1, 0), (4, 0))
+    assert rc._replace(modulus=5).modulus == 5
+    assert rc.assignment == (R(3, 4), R(3, 0))
+
+
+@st.composite
+def odd_det_forms(draw):
+    """The Smith form of U diag(d) V for a chain d of odd invariant factors
+    whose product is at most 3^7, with up to two zero rows, and random
+    unimodular U and V: prime, composite and non-cyclic determinants."""
+    cols = draw(st.integers(1, 4))
+    divisors = [draw(st.sampled_from((1, 3, 5, 7, 9, 15)))]
+    for _ in range(cols - 1):
+        step = draw(st.sampled_from((1, 1, 3, 5)))
+        divisors.append(divisors[-1] * step)
+    if prod(divisors) > 3**7:
+        divisors = [1] * (cols - 1) + [divisors[0]]
+    rows = cols + draw(st.integers(0, 2))
+    grid = [[divisors[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(draw(st.integers(0, 8))):
+        f = draw(st.sampled_from((-2, -1, 1, 2)))
+        if rows > 1:
+            i, k = draw(st.permutations(range(rows)))[:2]
+            grid[i] = [x + f * y for x, y in zip(grid[i], grid[k])]
+        if cols > 1:
+            j, k = draw(st.permutations(range(cols)))[:2]
+            for row in grid:
+                row[j] += f * row[k]
+    return smith_normal_form(IntMatrix.from_rows(grid, cols=cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_det_forms())
+def test_classes_match_the_scan_on_odd_determinant_forms(form):
+    det = determinantal_divisor(form, form.cols)
+    classes = enumerate_rep_classes(form)
+    assert classes == scan_rep_classes(form)
+    assert len(classes) == (det - 1) // 2
+    assert all(type(rc) is RepClass for rc in classes)
+    assert class_mismatch(form) is None
+
+
+def test_classes_match_the_scan_on_non_cyclic_and_composite_groups():
+    for divisors in ((3, 3), (3, 9), (1, 3, 3), (3, 3, 3), (5, 15), (15,), (45,), (3, 3, 9)):
+        grid = [[d if i == j else 0 for j in range(len(divisors))] for i, d in enumerate(divisors)]
+        form = smith_normal_form(IntMatrix.from_rows(grid))
+        classes = enumerate_rep_classes(form)
+        assert classes == scan_rep_classes(form), divisors
+        assert len(classes) == len(set(classes)) == (prod(divisors) - 1) // 2
+
+
+def test_random_odd_det_matrices_cover_every_kind_of_group():
+    rng = random.Random(0)
+    kinds = set()
+    for _ in range(200):
+        form = smith_normal_form(random_odd_det_matrix(rng))
+        det = determinantal_divisor(form, form.cols)
+        assert det % 2 == 1 and det <= 3**6 and form.rank == form.cols
+        nontrivial = [d for d in form.divisors if d > 1]
+        prime = det > 1 and all(det % p for p in range(2, det))
+        kinds.add("one" if det == 1 else "non-cyclic" if len(nontrivial) > 1 else "prime" if prime else "composite")
+    assert kinds == {"one", "non-cyclic", "prime", "composite"}
+
+
+def test_class_mismatch_reports_a_wrong_choice(monkeypatch):
+    import kreps.oracles as oracles
+
+    form = coloring_form(parse_braid("1^5", 2))
+    assert class_mismatch(form) is None
+    right = enumerate_rep_classes(form)
+    monkeypatch.setattr(oracles, "enumerate_rep_classes", lambda f: right[:1])
+    assert class_mismatch(form) == "1 classes mod 5, the scan finds 2"
+    wrong = [right[0], right[1]._replace(coloring=(4, 0))]
+    monkeypatch.setattr(oracles, "enumerate_rep_classes", lambda f: wrong)
+    assert class_mismatch(form) == "class 1 mod 5 is (5, (4, 0), (2, 0)), the scan gives (5, (2, 0), (2, 0))"
