@@ -378,9 +378,9 @@ def _json_text(value: Any, pad: str = "") -> str:
     row's ``total``); any other type raises TypeError.
 
     A record is written by one template over its sorted keys, a list of
-    plain ints by one join, and a list of classes of one length or of
-    profile rows by one template for the whole list (``_classes_text``,
-    ``_rows_text``).
+    plain ints by one join, and a list of two or more classes of one
+    length or profile rows by one template for the whole list
+    (``_classes_text``, ``_rows_text``).
     """
     kind = type(value)
     if kind is int:
@@ -413,9 +413,10 @@ def _json_text(value: Any, pad: str = "") -> str:
         if kinds == {int}:
             return _ints_text(value, pad)
         body = None
-        if kinds == {RepClass}:
+        # one record is written as fast by its own template
+        if kinds == {RepClass} and len(value) > 1:
             body = _classes_text(value, inner)
-        elif kinds == {ProfileRow}:
+        elif kinds == {ProfileRow} and len(value) > 1:
             body = _rows_text(value, inner)
         if body is None:
             body = (",\n" + inner).join([_json_text(item, inner) for item in value])
