@@ -13,8 +13,6 @@ whole API is safe to call concurrently.
 
 from .braids import (
     BraidWord,
-    FreeWord,
-    artin_act,
     braids_commute,
     closure_component_count,
     full_twist,
@@ -37,7 +35,6 @@ from .intlinalg import (
     IntMatrix,
     SNFResult,
     determinantal_divisor,
-    enumerate_solutions_mod,
     int_det,
     smith_normal_form,
     solution_columns_mod,

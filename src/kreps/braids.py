@@ -1,21 +1,16 @@
-"""Braid words, the component count of their closures, and the
-punctured-disk action.
+"""Braid words, the component count of their closures, and commutation
+by Dynnikov coordinates.
 
 Conventions, fixed once for the whole package:
 
 * A braid word on n strands is a sequence of signed generator indices;
   the letter ``+i`` is the standard generator swapping strands i, i+1
   with the left strand crossing over, and ``-i`` is its inverse.
-* Free-group words are sequences of signed generator indices in 1..rank,
-  always kept freely reduced.
-* The action of a generator on the free group of the n-punctured disk:
-
-      +i:  t_i -> t_i t_{i+1} t_i^-1,   t_{i+1} -> t_i
-      -i:  t_i -> t_{i+1},              t_{i+1} -> t_{i+1}^-1 t_i t_{i+1}
-
-  and a word acts by composing letter actions so that
-  ``act(ab, w) == act(a, act(b, w))``.  This order makes the braid
-  relations hold letter-for-letter (a property test pins it down).
+* Every braid action that a report runs is a per-letter rule on a
+  fixed-size integer vector: the Dynnikov coordinates here, the Burau
+  rows in ``presentations`` and the color transport in ``colorings``.
+  The action on the free group of the punctured disk, with its
+  conventions, is an oracle in ``oracles``.
 * The closure permutation sends a strand's starting slot to its ending
   slot; slots are numbered 0..n-1 internally.
 """
@@ -25,7 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -107,78 +102,6 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def _reduce_into(out: list[int], letters: Iterable[int]) -> None:
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-
-
-def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    _reduce_into(out, letters)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class FreeWord:
-    """A freely reduced word in free-group generators 1..rank.
-
-    The constructor reduces its input, so every instance is reduced.
-    """
-
-    rank: int
-    letters: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("free group rank must be at least 1")
-        reduced = free_reduce(int(x) for x in self.letters)
-        for letter in reduced:
-            if letter == 0 or abs(letter) > self.rank:
-                raise ValueError(f"generator {letter} out of range for rank {self.rank}")
-        object.__setattr__(self, "letters", reduced)
-
-    @classmethod
-    def identity(cls, rank: int) -> "FreeWord":
-        return cls(rank, ())
-
-    @classmethod
-    def generator(cls, rank: int, i: int) -> "FreeWord":
-        return cls(rank, (i,))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeWord(self.rank, self.letters + other.letters)
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
-
-    def weighted_exponent_sum(self, weights: Sequence[int]) -> int:
-        total = 0
-        for x in self.letters:
-            w = weights[abs(x) - 1]
-            total += w if x > 0 else -w
-        return total
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        for x in self.letters:
-            parts.append(f"t{abs(x)}" if x > 0 else f"t{abs(x)}^-1")
-        return " ".join(parts)
-
-
 def closure_component_count(a: BraidWord) -> int:
     """Number of components of the braid closure, the cycles of its
     permutation, counted in one walk that marks each visited slot; 1
@@ -208,59 +131,48 @@ def random_knot_braid(rng: random.Random, max_strands: int, max_len: int) -> Bra
             return a
 
 
-def _letter_image(braid_letter: int, free_letter: int) -> tuple[int, ...]:
-    i = abs(braid_letter)
-    g = abs(free_letter)
-    if braid_letter > 0:
-        if g == i:
-            img: tuple[int, ...] = (i, i + 1, -i)
-        elif g == i + 1:
-            img = (i,)
-        else:
-            img = (g,)
-    else:
-        if g == i:
-            img = (i + 1,)
-        elif g == i + 1:
-            img = (-(i + 1), i, i + 1)
-        else:
-            img = (g,)
-    if free_letter < 0:
-        img = tuple(-x for x in reversed(img))
-    return img
+def _dynnikov(word: BraidWord) -> tuple[int, ...]:
+    """The Dynnikov coordinates (a_1, b_1, ..., a_n, b_n) of the image of
+    the curve diagram (0, 1, ..., 0, 1) under the braid word, letter by
+    letter.
 
-
-def artin_act(a: BraidWord, w: FreeWord) -> FreeWord:
-    """Image of the free word w under the automorphism attached to a.
-
-    Reduction is applied eagerly after every letter substitution to keep
-    intermediate words short.
+    The word acts on the disk with n + 2 punctures through sigma_i ->
+    sigma_{i+1}, so every letter takes the middle rule on the pairs i and
+    i + 1, and the full twist of n strands acts nontrivially.  With x+ =
+    max(x, 0) and x- = min(x, 0), +i sends (a, b, c, d) = (a_i, b_i,
+    a_{i+1}, b_{i+1}) to (a + b+ + (d+ - e)+, d - e+, c + d- + (b- + e)-,
+    b + e+) with e = a - b- - c + d+, and -i to (a - b+ - (d+ + e)+, d +
+    e-, c - d- - (b- - e)-, b - e-) with e = a + b- - c - d+.
     """
-    if w.rank != a.strands:
-        raise ValueError("free word rank must equal the braid's strand count")
-    letters = list(w.letters)
-    for braid_letter in reversed(a.letters):
-        out: list[int] = []
-        for free_letter in letters:
-            _reduce_into(out, _letter_image(braid_letter, free_letter))
-        letters = out
-    return FreeWord(a.strands, tuple(letters))
+    coords = [0, 1] * word.strands
+    for letter in word.letters:
+        k = 2 * abs(letter) - 2
+        a, b, c, d = coords[k : k + 4]
+        bm, bp, dm, dp = min(b, 0), max(b, 0), min(d, 0), max(d, 0)
+        if letter > 0:
+            e = a - bm - c + dp
+            coords[k : k + 4] = a + bp + max(dp - e, 0), d - max(e, 0), c + dm + min(bm + e, 0), b + max(e, 0)
+        else:
+            e = a + bm - c - dp
+            coords[k : k + 4] = a - bp - max(dp + e, 0), d + min(e, 0), c - dm - min(bm - e, 0), b - min(e, 0)
+    return tuple(coords)
 
 
 def braids_commute(a: BraidWord, b: BraidWord) -> bool:
     """Whether ab = ba in the braid group.
 
-    Decided by comparing the automorphism images of every generator,
-    which is exact because the action on the free group is faithful.
+    Decided by comparing the Dynnikov coordinates of ab and ba
+    (``_dynnikov``), which is exact because the action is faithful on the
+    embedded braid group (Dynnikov, Russian Math. Surveys 57, 2002;
+    Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, 2008, ch.
+    12).  The bit lengths of the coordinates grow at most linearly with
+    the word, so the cost is polynomial in the word lengths.
+    ``oracles.free_words_commute`` decides the same by the action on the
+    free group.
     """
     if a.strands != b.strands:
         raise ValueError("strand count mismatch")
-    ab, ba = a * b, b * a
-    for i in range(1, a.strands + 1):
-        gen = FreeWord.generator(a.strands, i)
-        if artin_act(ab, gen) != artin_act(ba, gen):
-            return False
-    return True
+    return _dynnikov(a * b) == _dynnikov(b * a)
 
 
 def full_twist(n: int) -> BraidWord:

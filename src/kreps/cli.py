@@ -60,6 +60,12 @@ from .presentations import (
 
 # the largest --rmax: the profile has one row per modulus up to it
 MAX_RMAX = 10_000
+# the largest `verify --max-len`: the oracles' free-word relators grow
+# exponentially with the word
+MAX_VERIFY_LEN = 24
+# the largest `verify --max-strands`: braid_mismatch runs the r^n transport
+# census for r up to 7, and 7^7 is under the default enumeration cap
+MAX_VERIFY_STRANDS = 7
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,8 +170,8 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
 
 
 def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, Any]:
-    # the knot check is one walk over the strands; the commutation check
-    # compares free-group images, which grow exponentially with the words
+    # the knot check is one walk over the strands; the commutation check is
+    # one Dynnikov letter rule per letter of ab and of ba
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the first braid is not a knot", EXIT_NOT_A_KNOT)
     if not braids_commute(a, b):
@@ -522,9 +528,12 @@ def _parse_argv(argv: Sequence[str]) -> SimpleNamespace | None:
 
 
 def _check_verify_options(args: SimpleNamespace) -> None:
-    """Refuse ``verify`` options that leave nothing to check or no knot to
-    draw: a knot word on n strands needs at least n - 1 letters, so
-    ``random_knot_braid`` would never return past max_len + 1 strands."""
+    """Refuse ``verify`` options that leave nothing to check, no knot to
+    draw or no end to the sweep: a knot word on n strands needs at least
+    n - 1 letters, so ``random_knot_braid`` would never return past
+    max_len + 1 strands; past ``MAX_VERIFY_LEN`` letters the free-word
+    relators of the oracles take minutes, and past ``MAX_VERIFY_STRANDS``
+    strands the transport census exceeds the enumeration cap."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.max_strands < 2:
@@ -536,6 +545,10 @@ def _check_verify_options(args: SimpleNamespace) -> None:
             f"--max-strands {args.max_strands} needs --max-len at least {args.max_strands - 1}, "
             f"got {args.max_len}"
         )
+    if args.max_len > MAX_VERIFY_LEN:
+        raise ValueError(f"--max-len must be at most {MAX_VERIFY_LEN}, got {args.max_len}")
+    if args.max_strands > MAX_VERIFY_STRANDS:
+        raise ValueError(f"--max-strands must be at most {MAX_VERIFY_STRANDS}, got {args.max_strands}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

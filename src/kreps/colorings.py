@@ -6,6 +6,7 @@ satisfies 2*over - in - out == 0 (mod r).  Two independent routes here
 compute the same censuses:
 
 * solution counting on the coloring form (``presentations.coloring_form``),
+  with no enumeration,
 * fixed points of pushing colors through the braid crossing by crossing.
 
 Exhaustive enumeration of arc colors on the closure diagram is a third,
@@ -24,14 +25,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .braids import BraidWord
-from .intlinalg import (
-    EnumerationCapExceeded,
-    SNFResult,
-    enumerate_solutions_mod,
-    solution_count_mod,
-    _count_text,
-    _enum_cap,
-)
+from .intlinalg import EnumerationCapExceeded, SNFResult, solution_count_mod, _count_text, _enum_cap
 
 
 @dataclass(frozen=True)
@@ -63,22 +57,32 @@ def generated_subgroup(colors: Iterable[int], p: int) -> int:
     return gcd(g, p) if g else p
 
 
-def coloring_census(form: SNFResult, r: int, cap: int | None = None) -> ColoringCensus:
+def coloring_census(form: SNFResult, r: int) -> ColoringCensus:
     """Census of the solutions of M(-1) x == 0 modulo r, read from the
-    coloring form of M (``presentations.coloring_form``).
+    coloring form of M (``presentations.coloring_form``) with no
+    enumeration.
 
-    Every coloring is a condition-O one plus a constant.  Non-degeneracy
-    is decided by scanning the condition-O solutions only, which is enough
-    because translating a coloring preserves what its colors generate.
+    Every coloring is a condition-O one plus a constant, so the total is
+    r times the condition-O count.  Translating a coloring preserves what
+    its colors generate, so some coloring is nondegenerate exactly when
+    some condition-O one has colors with gcd 1 with r.  The condition-O
+    solutions are Q x', where coordinate j of x' runs over the multiples
+    of r / gcd(d_j, r), or over all residues past the rank, and Q is
+    invertible modulo every prime q dividing r.  So for each such q some
+    solution avoids 0 mod q exactly when some coordinate of x' runs over
+    all residues mod q: a free column, or a divisor that the full power of
+    q in r divides.  The divisors form a chain, so the last one is the
+    most divisible: a nondegenerate coloring exists exactly when the form
+    has a free column or r divides its last divisor.
     """
-    cond_solutions = [sol + (0,) for sol in enumerate_solutions_mod(form, r, cap=cap)]
-    nondeg = any(generated_subgroup(sol, r) == 1 for sol in cond_solutions)
-    count = len(cond_solutions)
+    count = solution_count_mod(form, r)
+    nondeg = form.cols > form.rank or (form.rank >= 1 and form.divisors[-1] % r == 0)
     return ColoringCensus(modulus=r, total=r * count, nondegenerate=nondeg, condition_o=count)
 
 
 def is_p_colorable(form: SNFResult, p: int) -> bool:
-    """Whether some coloring modulo p generates all of Z/p."""
+    """Whether some coloring modulo p generates all of Z/p, read from the
+    form as in ``coloring_census``."""
     return coloring_census(form, p).nondegenerate
 
 
@@ -104,21 +108,19 @@ def dihedral_transport(a: BraidWord, colors: Sequence[int], r: int) -> tuple[int
     return tuple(state)
 
 
-def surface_coloring_census(
-    a: BraidWord, b: BraidWord, r: int, cap: int | None = None
-) -> ColoringCensus:
+def surface_coloring_census(a: BraidWord, b: BraidWord, r: int) -> ColoringCensus:
     """Census of colorings of the surface knot spanned by (a, b): tuples
     fixed by the transport of both basis braids, found by exhaustive
     search over (Z/r)^n.
 
-    The pair must commute, and the census does not check it: the free-word
-    check is exponential, ``cli.surface_report`` has run it before any
-    census, and ``oracles.braid_mismatch`` passes the identity as b.
+    The pair must commute, and the census does not check it:
+    ``cli.surface_report`` has run ``braids_commute`` before any census,
+    and ``oracles.braid_mismatch`` passes the identity as b.
     """
     if r < 2:
         raise ValueError("modulus must be at least 2")
     n = a.strands
-    if r**n > _enum_cap(cap):
+    if r**n > _enum_cap():
         raise EnumerationCapExceeded(f"{_count_text(r**n, 'candidate colorings')} exceed the cap")
     total = 0
     cond = 0

@@ -223,22 +223,29 @@ def _count_text(count: int, noun: str) -> str:
     return f"a {digits:,}-digit number of {noun}"
 
 
-def _enum_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def _enum_cap() -> int:
+    """The most solutions or candidates an enumeration may produce: 10**6,
+    or the value of KREPS_ENUM_CAP."""
     return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
 
 
-def solution_columns_mod(snf: SNFResult, r: int, cap: int | None = None) -> list[list[int]]:
-    """The solutions of ``enumerate_solutions_mod`` as one list per
-    coordinate: solution j is the j-th entry of each list.  With no
-    columns there is one solution, the empty vector, and no list.
+def solution_columns_mod(snf: SNFResult, r: int) -> list[list[int]]:
+    """All x in (Z/r)^cols with A x == 0 (mod r), without duplicates and in
+    no promised order, as one list per coordinate: solution j is the j-th
+    entry of each list.  With no columns there is one solution, the empty
+    vector, and no list.
 
-    Each generator extends the coordinate lists by one comprehension that
-    adds its multiples to the sums so far, so no solution is built as a
-    tuple.  Raises EnumerationCapExceeded as ``enumerate_solutions_mod``."""
+    Solutions are Q x' where the pivot coordinates of x' run over the
+    multiples of r/gcd(d_i, r) and the free coordinates run over all
+    residues.  So the solution group is generated by one step-scaled
+    column of Q per nontrivial divisor or free column, and the solutions
+    are the sums of the generators' multiples.  Each generator extends the
+    coordinate lists by one comprehension that adds its multiples to the
+    sums so far, so no solution is built as a tuple.  Raises
+    EnumerationCapExceeded if the solution count exceeds the cap
+    (``_enum_cap``)."""
     total = solution_count_mod(snf, r)
-    limit = _enum_cap(cap)
+    limit = _enum_cap()
     if total > limit:
         raise EnumerationCapExceeded(f"{_count_text(total, 'solutions')} exceed the cap of {limit}")
     generators = [(r // gcd(d, r), gcd(d, r)) for d in snf.divisors]
@@ -258,23 +265,3 @@ def solution_columns_mod(snf: SNFResult, r: int, cap: int | None = None) -> list
             ]
         count *= order
     return columns
-
-
-def enumerate_solutions_mod(
-    snf: SNFResult, r: int, cap: int | None = None
-) -> list[tuple[int, ...]]:
-    """All x in (Z/r)^cols with A x == 0 (mod r), without duplicates and in
-    no promised order.
-
-    Solutions are Q x' where the pivot coordinates of x' run over the
-    multiples of r/gcd(d_i, r) and the free coordinates run over all
-    residues.  So the solution group is generated by one step-scaled
-    column of Q per nontrivial divisor or free column, and the solutions
-    are the sums of the generators' multiples.  They are built one list
-    per coordinate (``solution_columns_mod``) and zipped once into
-    tuples; with no columns the one solution is ``()``.  Raises
-    EnumerationCapExceeded if the solution count exceeds the cap (default
-    10**6, overridable via KREPS_ENUM_CAP).
-    """
-    columns = solution_columns_mod(snf, r, cap)
-    return list(zip(*columns)) if columns else [()]

@@ -141,7 +141,7 @@ class RepClass(NamedTuple):
         return tuple([BinaryDihedralElt.r(self.modulus, k) for k in self.angles])
 
 
-def enumerate_rep_classes(form: SNFResult, cap: int | None = None) -> list[RepClass]:
+def enumerate_rep_classes(form: SNFResult) -> list[RepClass]:
     """All conjugacy classes of irreducible metabelian SU(2) representations,
     sorted by coloring.
 
@@ -168,7 +168,7 @@ def enumerate_rep_classes(form: SNFResult, cap: int | None = None) -> list[RepCl
         raise ValueError("expected a positive odd determinant")
     if det == 1:
         return []
-    columns = solution_columns_mod(form, det, cap=cap)
+    columns = solution_columns_mod(form, det)
     if len(columns[0]) != det:
         raise RuntimeError(
             f"expected {det} base-pinned colorings, found {len(columns[0])}"

@@ -5,6 +5,9 @@ No report calls anything here.  Production keeps one route to each answer
 (the Burau rules and the one Smith normal form of the coloring form); the
 routes here reach the same numbers another way:
 
+* the braid action on the free group of the punctured disk
+  (``artin_act``), compared on every generator (``free_words_commute``),
+  for commutation;
 * free-word presentations of the closure and of the torus-covering
   surface knot, and their Fox matrices (``fox_matrix``), for the Alexander
   matrix;
@@ -16,6 +19,8 @@ routes here reach the same numbers another way:
   divisors;
 * binary dihedral images evaluated on the free-word relators
   (``verify_representation``, ``is_irreducible``), for the classes;
+* the solutions modulo r as tuples (``enumerate_solutions_mod``), for
+  the solution counts and the nondegenerate colorings;
 * the class list by a scan for each solution's first nonzero color
   (``scan_rep_classes``), for the choice of representatives.
 
@@ -27,6 +32,16 @@ call them on their own seeds.
 
 Conventions:
 
+* Free-group words are sequences of signed generator indices in 1..rank,
+  always kept freely reduced.  A braid acts on the free group of the
+  n-punctured disk by
+
+      +i:  t_i -> t_i t_{i+1} t_i^-1,   t_{i+1} -> t_i
+      -i:  t_i -> t_{i+1},              t_{i+1} -> t_{i+1}^-1 t_i t_{i+1}
+
+  and a word acts by composing letter actions so that
+  ``act(ab, w) == act(a, act(b, w))``.  This order makes the braid
+  relations hold letter for letter (a property test pins it down).
 * A presentation has generators t_1..t_m, each weighted by a power of t
   under abelianization (weight exponent 1 everywhere in this package).
   Its Fox matrix has one row per relator and one column per generator;
@@ -52,8 +67,6 @@ from typing import Any, Iterable, Sequence
 
 from .braids import (
     BraidWord,
-    FreeWord,
-    artin_act,
     braids_commute,
     closure_component_count,
     full_twist,
@@ -65,14 +78,131 @@ from .intlinalg import (
     IntMatrix,
     SNFResult,
     determinantal_divisor,
-    enumerate_solutions_mod,
     int_det,
     smith_normal_form,
+    solution_columns_mod,
     solution_count_mod,
 )
 from .laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd, poly_str
 from .metabelian import BinaryDihedralElt, RepClass, bd_inv, bd_mul, enumerate_rep_classes
 from .presentations import alexander_matrix, alexander_poly, burau_alexander, coloring_form, knot_poly
+
+# -- the free group and the braid action on it ----------------------------------
+
+
+def _reduce_into(out: list[int], letters: Iterable[int]) -> None:
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+
+
+def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
+    out: list[int] = []
+    _reduce_into(out, letters)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class FreeWord:
+    """A freely reduced word in free-group generators 1..rank.
+
+    The constructor reduces its input, so every instance is reduced.
+    """
+
+    rank: int
+    letters: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.rank < 1:
+            raise ValueError("free group rank must be at least 1")
+        reduced = free_reduce(int(x) for x in self.letters)
+        for letter in reduced:
+            if letter == 0 or abs(letter) > self.rank:
+                raise ValueError(f"generator {letter} out of range for rank {self.rank}")
+        object.__setattr__(self, "letters", reduced)
+
+    @classmethod
+    def generator(cls, rank: int, i: int) -> "FreeWord":
+        return cls(rank, (i,))
+
+    @property
+    def is_identity(self) -> bool:
+        return not self.letters
+
+    def __mul__(self, other: "FreeWord") -> "FreeWord":
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch")
+        return FreeWord(self.rank, self.letters + other.letters)
+
+    def inverse(self) -> "FreeWord":
+        return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
+
+    def weighted_exponent_sum(self, weights: Sequence[int]) -> int:
+        total = 0
+        for x in self.letters:
+            w = weights[abs(x) - 1]
+            total += w if x > 0 else -w
+        return total
+
+
+def _letter_image(braid_letter: int, free_letter: int) -> tuple[int, ...]:
+    i = abs(braid_letter)
+    g = abs(free_letter)
+    if braid_letter > 0:
+        if g == i:
+            img: tuple[int, ...] = (i, i + 1, -i)
+        elif g == i + 1:
+            img = (i,)
+        else:
+            img = (g,)
+    else:
+        if g == i:
+            img = (i + 1,)
+        elif g == i + 1:
+            img = (-(i + 1), i, i + 1)
+        else:
+            img = (g,)
+    if free_letter < 0:
+        img = tuple(-x for x in reversed(img))
+    return img
+
+
+def artin_act(a: BraidWord, w: FreeWord) -> FreeWord:
+    """Image of the free word w under the automorphism attached to a.
+
+    Reduction is applied eagerly after every letter substitution to keep
+    intermediate words short.
+    """
+    if w.rank != a.strands:
+        raise ValueError("free word rank must equal the braid's strand count")
+    letters = list(w.letters)
+    for braid_letter in reversed(a.letters):
+        out: list[int] = []
+        for free_letter in letters:
+            _reduce_into(out, _letter_image(braid_letter, free_letter))
+        letters = out
+    return FreeWord(a.strands, tuple(letters))
+
+
+def free_words_commute(a: BraidWord, b: BraidWord) -> bool:
+    """Whether ab = ba in the braid group, the oracle for
+    ``braids.braids_commute``.
+
+    Decided by comparing the automorphism images of every generator,
+    which is exact because the action on the free group is faithful.  The
+    images grow exponentially with the words.
+    """
+    if a.strands != b.strands:
+        raise ValueError("strand count mismatch")
+    ab, ba = a * b, b * a
+    for i in range(1, a.strands + 1):
+        gen = FreeWord.generator(a.strands, i)
+        if artin_act(ab, gen) != artin_act(ba, gen):
+            return False
+    return True
+
 
 # -- free-word presentations and Fox calculus ---------------------------------
 
@@ -121,7 +251,7 @@ def torus_covering_presentation(a: BraidWord, b: BraidWord) -> Presentation:
     """
     if a.strands != b.strands:
         raise ValueError("strand count mismatch")
-    if not braids_commute(a, b):
+    if not free_words_commute(a, b):
         raise ValueError("basis braids must commute")
     if closure_component_count(a) != 1:
         raise ValueError("the closure of the first braid must be a knot")
@@ -259,9 +389,7 @@ def coloring_matrix(d: ClosureDiagram) -> LaurentMatrix:
     return LaurentMatrix(len(d.crossings), d.arc_count, tuple(rows))
 
 
-def diagram_census_brute(
-    d: ClosureDiagram, r: int, cap: int | None = None
-) -> ColoringCensus:
+def diagram_census_brute(d: ClosureDiagram, r: int) -> ColoringCensus:
     """Exhaustive census of arc colorings of a closure diagram.
 
     Walks arcs in order, depth first on an explicit stack rather than by
@@ -366,7 +494,15 @@ def is_irreducible(assignment: Sequence[BinaryDihedralElt]) -> bool:
     return any(elt.angle % m != first for elt in assignment[1:])
 
 
-def scan_rep_classes(form: SNFResult, cap: int | None = None) -> list[RepClass]:
+def enumerate_solutions_mod(snf: SNFResult, r: int) -> list[tuple[int, ...]]:
+    """The solutions of ``intlinalg.solution_columns_mod`` as tuples, zipped
+    from its coordinate lists; with no columns the one solution is ``()``.
+    Raises EnumerationCapExceeded as ``solution_columns_mod``."""
+    columns = solution_columns_mod(snf, r)
+    return list(zip(*columns)) if columns else [()]
+
+
+def scan_rep_classes(form: SNFResult) -> list[RepClass]:
     """The classes of ``metabelian.enumerate_rep_classes``, one solution
     tuple at a time: each nonzero solution modulo det is kept when its
     first nonzero color c has c <= det // 2 (the smaller of c and -c, as
@@ -379,7 +515,7 @@ def scan_rep_classes(form: SNFResult, cap: int | None = None) -> list[RepClass]:
         return []
     half = det // 2
     chosen = []
-    for sol in enumerate_solutions_mod(form, det, cap=cap):
+    for sol in enumerate_solutions_mod(form, det):
         for c in sol:
             if c:
                 if c <= half:
@@ -412,6 +548,12 @@ def class_mismatch(form: SNFResult) -> str | None:
 def _snf_at_minus_one(m: LaurentMatrix) -> SNFResult:
     """Smith normal form of the whole matrix at t = -1, base column kept."""
     return smith_normal_form(IntMatrix.from_rows(m.evaluate(-1), cols=m.cols))
+
+
+def _census_text(census: ColoringCensus) -> str:
+    """total/condition_o, and "nondegenerate" when it is."""
+    text = f"{census.total}/{census.condition_o}"
+    return text + " nondegenerate" if census.nondegenerate else text
 
 
 def braid_mismatch(a: BraidWord) -> str | None:
@@ -460,11 +602,11 @@ def braid_mismatch(a: BraidWord) -> str | None:
         if not (
             algebraic.total == transported.total == brute.total
             and algebraic.condition_o == transported.condition_o == brute.condition_o
+            and algebraic.nondegenerate == transported.nondegenerate == brute.nondegenerate
         ):
             return (
-                f"census mismatch at r={r}: matrix {algebraic.total}/{algebraic.condition_o}, "
-                f"transport {transported.total}/{transported.condition_o}, "
-                f"diagram {brute.total}/{brute.condition_o}"
+                f"census mismatch at r={r}: matrix {_census_text(algebraic)}, "
+                f"transport {_census_text(transported)}, diagram {_census_text(brute)}"
             )
     return None
 
@@ -599,6 +741,8 @@ def matrix_mismatch(a: IntMatrix, moduli: Iterable[int]) -> str | None:
 def pair_mismatch(a: BraidWord, b: BraidWord) -> str | None:
     """Every cross-check on the surface knot of the commuting pair (a, b);
     returns a description of the first failure, or None."""
+    if braids_commute(a, b) != free_words_commute(a, b):
+        return "Dynnikov and free-word commutation checks differ"
     matrix = alexander_matrix(a, b)
     if matrix != fox_matrix(torus_covering_presentation(a, b)).without_zero_rows():
         return "burau-built and fox matrices differ"

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from kreps.braids import (
     MAX_BRAID_LETTERS,
     BraidWord,
-    FreeWord,
-    artin_act,
+    _dynnikov,
     braids_commute,
     closure_component_count,
     full_twist,
@@ -16,6 +15,7 @@ from kreps.braids import (
     prime_twist_family,
     random_knot_braid,
 )
+from kreps.oracles import FreeWord, artin_act, free_words_commute
 
 
 def random_braid(rng, max_strands=4, max_len=8, min_len=0):
@@ -156,7 +156,7 @@ def test_component_count_is_the_cycle_count_of_the_permutation(a):
     assert closure_component_count(a) == letter_permutation_cycles(a)
 
 
-# -- the free-group action -------------------------------------------------
+# -- the free-group action, an oracle ----------------------------------------
 
 
 def test_generator_action_images():
@@ -257,6 +257,78 @@ def test_full_twist_is_central():
     for _ in range(20):
         a = random_braid(rng)
         assert braids_commute(a, full_twist(a.strands))
+
+
+@st.composite
+def equal_words(draw):
+    """Two words of one braid: a random word with, at one place, one side
+    of a relation inserted into the first and the other side into the
+    second.  The relations are a letter and its inverse against nothing,
+    the braid relation and the far commutation, each with either sign."""
+    n = draw(st.integers(2, 6))
+    letter = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g)))
+    word = draw(st.lists(letter, max_size=12))
+    at = draw(st.integers(0, len(word)))
+    i = draw(st.integers(1, n - 1))
+    s = draw(st.sampled_from((1, -1)))
+    kinds = ["inverse"] + ["braid"] * (n > 2) + ["far"] * (n > 3)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "inverse":
+        lhs, rhs = (s * i, -s * i), ()
+    elif kind == "braid":
+        i = min(i, n - 2)
+        lhs, rhs = (s * i, s * (i + 1), s * i), (s * (i + 1), s * i, s * (i + 1))
+    else:
+        i = min(i, n - 3)
+        j = draw(st.integers(i + 2, n - 1))
+        t = draw(st.sampled_from((1, -1)))
+        lhs, rhs = (s * i, t * j), (t * j, s * i)
+    return BraidWord(n, (*word[:at], *lhs, *word[at:])), BraidWord(n, (*word[:at], *rhs, *word[at:]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(equal_words())
+def test_equal_words_have_equal_dynnikov_coordinates(pair):
+    assert _dynnikov(pair[0]) == _dynnikov(pair[1])
+
+
+def half_twist(n):
+    """The Garside braid (s_1 ... s_{n-1})(s_1 ... s_{n-2}) ... (s_1),
+    whose square is the full twist and which conjugates s_i to s_{n-i}."""
+    return BraidWord(n, tuple(g for top in range(n - 1, 0, -1) for g in range(1, top + 1)))
+
+
+def test_dynnikov_coordinates_tell_apart_braids_the_free_group_tells_apart():
+    for n in range(2, 6):
+        identity = _dynnikov(BraidWord.identity(n))
+        assert identity == (0, 1) * n
+        # the full twist is central but not trivial
+        assert _dynnikov(full_twist(n)) != identity
+        assert _dynnikov(half_twist(n) ** 2) == _dynnikov(full_twist(n))
+        for i in range(1, n):
+            assert _dynnikov(BraidWord(n, (i,))) != identity
+            assert _dynnikov(BraidWord(n, (i,))) != _dynnikov(BraidWord(n, (-i,)))
+
+
+def test_commutation_matches_the_free_word_oracle_on_seeded_pairs():
+    rng = random.Random(13)
+    kinds = {True: 0, False: 0}
+    for trial in range(240):
+        a = random_braid(rng, max_strands=4, max_len=4, min_len=1)
+        n = a.strands
+        kind = trial % 4
+        if kind == 0:
+            b, a = a ** rng.randint(-3, 3), a ** rng.randint(1, 2)
+        elif kind == 1:
+            b = full_twist(n) ** rng.choice((-1, 1)) * a ** rng.randint(-2, 2)
+        elif kind == 2:
+            b = half_twist(n) ** rng.randint(-2, 3)
+        else:
+            b = random_braid_on(rng, n, 4)
+        expected = free_words_commute(a, b)
+        assert braids_commute(a, b) == expected, (a, b)
+        kinds[expected] += 1
+    assert min(kinds.values()) >= 40, kinds
 
 
 def test_full_twist_words():

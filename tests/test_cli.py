@@ -214,19 +214,24 @@ def test_values_and_words_that_start_with_a_dash(capsys):
 
 
 def test_knot_report_never_builds_free_words(capsys, monkeypatch):
-    import kreps.braids as braids
     import kreps.oracles as oracles
 
-    argv = ("knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json")
-    code, expected, _ = run(capsys, *argv)
-    assert code == EXIT_OK
+    # knot, surface and family reports alike
+    argvs = (
+        ("knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json"),
+        ("surface", "1^3", "1^6", "-n", "2", "--rmax", "12", "--json"),
+        ("family", "3", "3", "1"),
+    )
+    expected = [run(capsys, *argv)[:2] for argv in argvs]
+    assert [code for code, _ in expected] == [EXIT_OK] * len(argvs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a knot report reached the free-word route")
+        raise AssertionError("a report reached the free-word route")
 
-    for retired in (braids.artin_act, oracles.closure_presentation, oracles.fox_derivative_abelianized):
-        patch_kreps_bindings(monkeypatch, retired, refuse)
-    assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
+    for name in ("FreeWord", "free_reduce", "artin_act", "free_words_commute", "closure_presentation",
+                 "fox_derivative_abelianized"):
+        patch_kreps_bindings(monkeypatch, getattr(oracles, name), refuse)
+    assert [run(capsys, *argv)[:2] for argv in argvs] == expected
 
 
 def test_reports_reduce_each_matrix_once(capsys, monkeypatch):
@@ -307,7 +312,7 @@ def test_exit_code_family_assertion(capsys, monkeypatch):
     import kreps.cli as cli
     from kreps.colorings import ColoringCensus
 
-    def broken_census(a, b, r, cap=None):
+    def broken_census(a, b, r):
         return ColoringCensus(modulus=r, total=1, nondegenerate=False, condition_o=1)
 
     monkeypatch.setattr(cli, "surface_coloring_census", broken_census)
@@ -425,6 +430,17 @@ def test_surface_reports_check_commutation_once(capsys, monkeypatch):
         assert len(calls) == 1, argv
 
 
+def test_commutation_of_long_powers_is_polynomial(capsys):
+    import time
+
+    # a and a^3 for a = (1 -2)^4: the free-word images took 45 s
+    a = " ".join(["1 -2"] * 4)
+    start = time.monotonic()
+    code, out, err = run(capsys, "surface", a, " ".join(["1 -2"] * 12), "-n", "3")
+    assert time.monotonic() - start < 5.0
+    assert (code, err) == (EXIT_OK, "") and out
+
+
 def test_exit_code_not_a_knot(capsys):
     code, _, _ = run(capsys, "knot", "1^2", "-n", "2", "--json")
     assert code == EXIT_NOT_A_KNOT
@@ -486,6 +502,22 @@ def test_only_verify_reaches_the_oracles():
 
     for module in ("__init__", "braids", "laurent", "intlinalg", "presentations", "colorings", "metabelian"):
         assert oracle_imports(module)[1] == [], module
+    # no module but the oracles defines, imports or names a free word
+    def names(node):
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        if isinstance(node, ast.alias):
+            return {node.name, node.asname}
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return {node.name}
+        return set()
+
+    for path in package.glob("*.py"):
+        if path.stem != "oracles":
+            for node in ast.walk(ast.parse(path.read_text())):
+                assert not names(node) & {"FreeWord", "artin_act", "free_reduce"}, (path.name, names(node))
     # cli imports the sweep alone, inside main, where it runs verify
     tree, found = oracle_imports("cli")
     assert [[alias.name for alias in node.names] for node in found] == [["verify_report"]]
@@ -572,6 +604,25 @@ def test_verify_checks_every_class_on_the_relators(capsys, monkeypatch):
         assert message in json.loads(out)["failure"], name
 
 
+def test_verify_checks_commutation_and_non_degeneracy(capsys, monkeypatch):
+    import kreps.cli as cli
+    import kreps.oracles as oracles
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "braid_mismatch", lambda a: None)
+        patch.setattr(oracles, "braids_commute", lambda a, b: False)
+        code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
+    assert code == cli.EXIT_VERIFY_MISMATCH
+    assert "Dynnikov and free-word commutation checks differ" in json.loads(out)["failure"]
+    from dataclasses import replace
+
+    census = oracles.coloring_census
+    monkeypatch.setattr(oracles, "coloring_census", lambda form, r: replace(census(form, r), nondegenerate=True))
+    code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
+    assert code == cli.EXIT_VERIFY_MISMATCH
+    assert "census mismatch at r=2: matrix 2/1 nondegenerate, transport 2/1, diagram 2/1" in json.loads(out)["failure"]
+
+
 @pytest.mark.parametrize(
     "options, option",
     [
@@ -582,6 +633,12 @@ def test_verify_checks_every_class_on_the_relators(capsys, monkeypatch):
         (["--max-len", "-5", "--max-strands", "2"], "--max-len"),
         (["--max-strands", "1000000000", "--max-len", "3", "--trials", "1"], "--max-strands"),
         (["--max-strands", "6", "--max-len", "4"], "--max-strands"),
+        # past these the free-word relators take minutes, or the transport
+        # census of braid_mismatch exceeds the enumeration cap
+        (["--max-len", "25"], "--max-len"),
+        (["--max-len", "1000000000"], "--max-len"),
+        (["--max-strands", "8", "--max-len", "24"], "--max-strands"),
+        (["--trials", "20", "--max-strands", "12", "--max-len", "24"], "--max-strands"),
     ],
 )
 def test_verify_refuses_options_that_check_nothing(capsys, monkeypatch, options, option):
@@ -599,6 +656,14 @@ def test_verify_accepts_the_smallest_options(capsys):
     assert report["passed"] and report["braids_checked"] == 1
     report = run_json(capsys, "verify", "--trials", "1", "--max-strands", "4", "--max-len", "3", "--json")
     assert report["passed"] and report["class_forms_checked"] == 25
+
+
+def test_verify_accepts_the_largest_options(capsys):
+    import kreps.cli as cli
+
+    assert (cli.MAX_VERIFY_STRANDS, cli.MAX_VERIFY_LEN) == (7, 24)
+    report = run_json(capsys, "verify", "--trials", "1", "--max-strands", "7", "--max-len", "24", "--json")
+    assert report["passed"] and report["braids_checked"] == 1
 
 
 def test_rmax_over_the_bound_is_refused_before_any_work(capsys, monkeypatch):

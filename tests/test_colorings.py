@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreps.braids import BraidWord, full_twist, parse_braid, random_knot_braid
 from kreps.colorings import (
@@ -14,7 +16,7 @@ from kreps.colorings import (
     surface_coloring_census,
 )
 from kreps.intlinalg import IntMatrix, determinantal_divisor, smith_normal_form
-from kreps.oracles import closure_diagram, coloring_matrix, diagram_census_brute
+from kreps.oracles import closure_diagram, coloring_matrix, diagram_census_brute, enumerate_solutions_mod
 from kreps.presentations import coloring_form
 
 TREFOIL = parse_braid("1^3", 2)
@@ -129,6 +131,38 @@ def test_unknot_census():
 def test_is_p_colorable():
     assert is_p_colorable(coloring_form(TREFOIL), 3)
     assert not is_p_colorable(coloring_form(TREFOIL), 5)
+
+
+@st.composite
+def forms_with_divisors(draw):
+    """The Smith normal form of U diag(d) V: a chain d of 0..3 divisors,
+    zero (free) columns among them, hidden by row and column operations."""
+    cols = draw(st.integers(0, 3))
+    divisors = []
+    for _ in range(cols):
+        step = draw(st.sampled_from((0, 1, 1, 2, 3, 4, 5, 6, 9)))
+        divisors.append(step * (divisors[-1] if divisors else 1))
+    rows = cols + draw(st.integers(0, 2))
+    grid = [[divisors[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    for i, k, f in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from((-2, -1, 1, 2))), max_size=8)):
+        if rows and i % rows != k % rows:
+            grid[i % rows] = [x + f * y for x, y in zip(grid[i % rows], grid[k % rows])]
+        if cols and i % cols != k % cols:
+            for row in grid:
+                row[i % cols] += f * row[k % cols]
+    return smith_normal_form(IntMatrix.from_rows(grid, cols=cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_with_divisors(), st.integers(2, 39))
+def test_census_read_from_the_form_matches_the_enumeration(form, r):
+    # a pinned solution is nondegenerate when its colors and r have gcd 1
+    pinned = [sol + (0,) for sol in enumerate_solutions_mod(form, r)]
+    census = coloring_census(form, r)
+    assert census.condition_o == len(pinned)
+    assert census.total == r * len(pinned)
+    assert census.nondegenerate == any(generated_subgroup(sol, r) == 1 for sol in pinned)
+    assert is_p_colorable(form, r) == census.nondegenerate
 
 
 def test_colorable_implies_determinant_divisible():

@@ -9,13 +9,12 @@ from kreps.intlinalg import (
     IntMatrix,
     SNFResult,
     determinantal_divisor,
-    enumerate_solutions_mod,
     solution_columns_mod,
     int_det,
     smith_normal_form,
     solution_count_mod,
 )
-from kreps.oracles import minor_gcd
+from kreps.oracles import enumerate_solutions_mod, minor_gcd
 
 
 def random_matrix(rng, max_dim=4, bound=9):
@@ -154,7 +153,7 @@ def test_enumeration_examples():
     assert len(sols) == len(set(sols)) == solution_count_mod(snf_of([[1, 2], [2, 4]]), 6)
 
 
-def test_solution_columns_are_the_enumeration_by_coordinate():
+def test_solution_columns_are_the_enumeration_by_coordinate(monkeypatch):
     rng = random.Random(24)
     for _ in range(60):
         snf = smith_normal_form(random_matrix(rng, 3, 9))
@@ -167,17 +166,19 @@ def test_solution_columns_are_the_enumeration_by_coordinate():
     assert enumerate_solutions_mod(empty, 5) == [()]
     # a first generator of order 1 leaves the zero solution
     assert solution_columns_mod(snf_of([[1, 0], [0, 1]]), 7) == [[0], [0]]
+    monkeypatch.setenv("KREPS_ENUM_CAP", "10")
     with pytest.raises(EnumerationCapExceeded):
-        solution_columns_mod(snf_of([[0, 0, 0, 0]], cols=4), 100, cap=10)
+        solution_columns_mod(snf_of([[0, 0, 0, 0]], cols=4), 100)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     zero = snf_of([[0, 0, 0, 0]], cols=4)
+    monkeypatch.setenv("KREPS_ENUM_CAP", "10")
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_solutions_mod(zero, 100, cap=10)
+        enumerate_solutions_mod(zero, 100)
 
 
-def test_cap_message_gives_a_large_count_by_its_digits():
+def test_cap_message_gives_a_large_count_by_its_digits(monkeypatch):
     from kreps.intlinalg import _count_text
 
     for count in (0, 7, 10**20 - 1):
@@ -185,8 +186,9 @@ def test_cap_message_gives_a_large_count_by_its_digits():
     for digits in (21, 22, 1046, 4300, 5000):
         for count in (10 ** (digits - 1), 10**digits - 1, 3 * 10 ** (digits - 1) + 1):
             assert _count_text(count, "solutions") == f"a {digits:,}-digit number of solutions", count
+    monkeypatch.setenv("KREPS_ENUM_CAP", "10")
     with pytest.raises(EnumerationCapExceeded, match="a 61-digit number of solutions exceed the cap of 10"):
-        enumerate_solutions_mod(snf_of([[0, 0, 0]], cols=3), 10**20, cap=10)
+        enumerate_solutions_mod(snf_of([[0, 0, 0]], cols=3), 10**20)
 
 
 def test_enumeration_cap_env(monkeypatch):

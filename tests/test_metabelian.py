@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreps.braids import FreeWord, full_twist, parse_braid, prime_twist_family
+from kreps.braids import full_twist, parse_braid, prime_twist_family
 from kreps.intlinalg import IntMatrix, determinantal_divisor, smith_normal_form
 from kreps.metabelian import (
     BinaryDihedralElt,
@@ -20,6 +20,7 @@ from kreps.metabelian import (
     enumerate_rep_classes,
 )
 from kreps.oracles import (
+    FreeWord,
     Presentation,
     class_mismatch,
     closure_presentation,

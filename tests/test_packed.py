@@ -16,7 +16,7 @@ from kreps.braids import (
     parse_braid,
     random_knot_braid,
 )
-from kreps.intlinalg import IntMatrix, enumerate_solutions_mod, smith_normal_form
+from kreps.intlinalg import IntMatrix, smith_normal_form
 from kreps.laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -25,7 +25,7 @@ from kreps.laurent import (
     laurent_minor_gcd,
     normalize_unit,
 )
-from kreps.oracles import LONG_WORDS
+from kreps.oracles import LONG_WORDS, enumerate_solutions_mod
 from kreps.presentations import (
     _burau_columns,
     _jacobian_rows,

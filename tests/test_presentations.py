@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from kreps.braids import BraidWord, FreeWord, full_twist, parse_braid, random_knot_braid
+from kreps.braids import BraidWord, full_twist, parse_braid, random_knot_braid
 from kreps.intlinalg import (
     IntMatrix,
     determinantal_divisor,
-    enumerate_solutions_mod,
     smith_normal_form,
     solution_count_mod,
 )
@@ -21,10 +20,12 @@ from kreps.laurent import (
 from kreps.oracles import (
     ClosureDiagram,
     Crossing,
+    FreeWord,
     Presentation,
     closure_diagram,
     closure_presentation,
     coloring_matrix,
+    enumerate_solutions_mod,
     fox_derivative_abelianized,
     fox_matrix,
     torus_covering_presentation,
