@@ -33,12 +33,11 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
-        for letter in self.letters:
-            if letter == 0 or abs(letter) > self.strands - 1:
-                raise ValueError(
-                    f"generator index {letter} out of range for {self.strands} strands"
-                )
+        letters = tuple(map(int, self.letters))
+        object.__setattr__(self, "letters", letters)
+        if letters and (0 in letters or max(letters) >= self.strands or min(letters) <= -self.strands):
+            bad = next(x for x in letters if x == 0 or abs(x) >= self.strands)
+            raise ValueError(f"generator index {bad} out of range for {self.strands} strands")
 
     @classmethod
     def identity(cls, strands: int) -> "BraidWord":
@@ -62,7 +61,7 @@ class BraidWord:
         return BraidWord(self.strands, base.letters * abs(n))
 
     def __str__(self) -> str:
-        return " ".join(str(x) for x in self.letters) if self.letters else "(empty)"
+        return " ".join(map(str, self.letters)) if self.letters else "(empty)"
 
 
 _TOKEN = re.compile(r"([+-]?\d+)(?:\^(\d+))?")
@@ -83,19 +82,17 @@ def parse_braid(text: str, strands: int) -> BraidWord:
         raise ValueError(f"a braid may have at most {MAX_BRAID_LETTERS + 1} strands")
     letters: list[int] = []
     for token in text.split():
-        match = _TOKEN.fullmatch(token)
-        if match is None:
+        # str.isdecimal accepts exactly the Unicode digit strings that \d+ matches
+        if token.isdecimal() or (token[0] in "+-" and token[1:].isdecimal()):
+            letter, exp = int(token), 1
+        elif match := _TOKEN.fullmatch(token):
+            letter, exp = int(match.group(1)), int(match.group(2) or 1)
+        else:
             raise ValueError(f"malformed braid token {token!r}")
-        letter = int(match.group(1))
         if letter == 0 or abs(letter) > strands - 1:
-            raise ValueError(
-                f"generator index {letter} out of range for {strands} strands"
-            )
-        exp = 1
-        if match.group(2) is not None:
-            exp = int(match.group(2))
-            if exp <= 0:
-                raise ValueError(f"exponent must be positive in token {token!r}")
+            raise ValueError(f"generator index {letter} out of range for {strands} strands")
+        if exp <= 0:
+            raise ValueError(f"exponent must be positive in token {token!r}")
         if len(letters) + exp > MAX_BRAID_LETTERS:
             raise ValueError(f"the braid word exceeds {MAX_BRAID_LETTERS} letters")
         letters.extend([letter] * exp)

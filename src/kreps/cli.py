@@ -51,11 +51,11 @@ from .metabelian import (
     enumerate_rep_classes,
 )
 from .presentations import (
+    _burau_alexander,
+    _knot_poly,
     alexander_matrix,
     alexander_poly,
-    burau_alexander,
     coloring_form,
-    knot_poly,
 )
 
 # the largest --rmax: the profile has one row per modulus up to it
@@ -141,17 +141,20 @@ def _odd_prime_factors(n: int) -> list[int]:
 
 
 def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
+    # the private polynomial routes skip this check, which comes before --rmax's
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the braid is not a knot", EXIT_NOT_A_KNOT)
+    if rmax is not None and rmax < 2:
+        raise ValueError(f"--rmax {rmax} must be at least 2")
     form = coloring_form(a)
     det = determinantal_divisor(form, form.cols)
     # the classes come from the form alone, so a word whose classes exceed
     # the enumeration cap is refused before the polynomial routes run
     classes = enumerate_rep_classes(form)
-    poly = knot_poly(a)
+    poly = _knot_poly(a)
     rep_count = count_irreducible_metabelian(det)
     checks = {
-        "burau_matches_fox": poly == burau_alexander(a),
+        "burau_matches_fox": poly == _burau_alexander(a),
         "determinant_matches_poly": det == abs(poly.evaluate(-1)),
         "class_count_matches_determinant": rep_count == len(classes),
     }
@@ -176,6 +179,8 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
         raise PipelineError("the closure of the first braid is not a knot", EXIT_NOT_A_KNOT)
     if not braids_commute(a, b):
         raise PipelineError("basis braids do not commute", EXIT_NOT_COMMUTING)
+    if rmax is not None and rmax < 2:
+        raise ValueError(f"--rmax {rmax} must be at least 2")
     form = coloring_form(a, b)
     poly = alexander_poly(alexander_matrix(a, b))
     det = determinantal_divisor(form, form.cols)
@@ -362,17 +367,26 @@ def _classes_text(classes: Sequence[RepClass], pad: str) -> str | None:
     return (template + (",\n" + pad + template) * (len(classes) - 1)) % ints
 
 
+@lru_cache(maxsize=16)
+def _rows_template(rs: tuple[int, ...], pad: str) -> str:
+    """The text of profile rows with the moduli rs at the indentation
+    ``pad``, with one ``%d`` for each condition_o and total in turn."""
+    inner = pad + "  "
+    row = f'{{{{\n{inner}"condition_o": %d,\n{inner}"r": {{}},\n{inner}"total": %d\n{pad}}}}}'
+    return (",\n" + pad).join(map(row.format, rs))
+
+
 def _rows_text(rows: Sequence[ProfileRow], pad: str) -> str | None:
     """The items of a list of profile rows, as ``_classes_text`` writes
-    classes: one ``%`` of the row template repeated once per row, or None,
-    for the per-record path, unless every r and count is an int."""
+    classes: one ``%`` of the template for their moduli, cached, over the
+    counts and totals, or None, for the per-record path, unless every r and
+    count is an int."""
     rs, counts = zip(*rows)
     if not {int}.issuperset(map(type, rs + counts)):
         return None
-    ints = tuple(chain.from_iterable(zip(counts, rs, map(mul, rs, counts))))
-    inner = pad + "  "
-    template = f'{{\n{inner}"condition_o": %d,\n{inner}"r": %d,\n{inner}"total": %d\n{pad}}}'
-    return (template + (",\n" + pad + template) * (len(rows) - 1)) % ints
+    ints = [0] * (2 * len(rs))
+    ints[::2], ints[1::2] = counts, map(mul, rs, counts)
+    return _rows_template(rs, pad) % tuple(ints)
 
 
 def _json_text(value: Any, pad: str = "") -> str:
@@ -476,6 +490,10 @@ _COMMANDS: dict[str, dict[str, tuple[type, Any]]] = {
     "family": {**dict.fromkeys("npm", (int, ...)), "--signs": (str, None), "--perm": (str, None)},
     "verify": {"--seed": (int, 0), "--trials": (int, 100), "--max-strands": (int, 4), "--max-len": (int, 8)},
 }
+# per command, built once: the table with the common options, the defaults and the positionals
+_TABLES = {name: {**spec, "--json": (bool, False), "--help": (bool, False)} for name, spec in _COMMANDS.items()}
+_DEFAULTS = {name: {key: default for key, (_, default) in t.items()} for name, t in _TABLES.items()}
+_POSITIONALS = {name: [key for key in t if key[0] != "-"] for name, t in _TABLES.items()}
 
 
 def _option(tok: str, table: dict[str, Any]) -> tuple[str | None, str | None]:
@@ -497,13 +515,12 @@ def _option(tok: str, table: dict[str, Any]) -> tuple[str | None, str | None]:
 def _parse_argv(argv: Sequence[str]) -> SimpleNamespace | None:
     """The command and its arguments by keyword, or None for -h/--help; a usage error raises
     ValueError.  An option's value is the next token unless that is the ``--`` ending the options."""
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _TABLES:
         if argv and _option(argv[0], {"--help": ...}) == ("--help", None):
             return None
         raise ValueError("the first argument must be a command: knot, surface, family or verify")
-    table = {**_COMMANDS[argv[0]], "--json": (bool, False), "--help": (bool, False)}
-    values = {key: default for key, (_, default) in table.items()}
-    free, tokens, dashed = iter([key for key in table if key[0] != "-"]), iter(argv[1:]), False
+    table, values = _TABLES[argv[0]], dict(_DEFAULTS[argv[0]])
+    free, tokens, dashed = iter(_POSITIONALS[argv[0]]), iter(argv[1:]), False
     for tok in tokens:
         if tok == "--" and not dashed:
             dashed = True

@@ -20,8 +20,9 @@ kills exactly that translation symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import gcd
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .braids import BraidWord
@@ -154,11 +155,18 @@ class ProfileRow(NamedTuple):
 def colorability_profile(form: SNFResult, r_max: int) -> list[ProfileRow]:
     """Condition-O coloring counts of the coloring form for r = 2..r_max.
 
-    The form agrees with the transport census (a separately tested
-    invariant); only-p-colorable objects have profile values in
-    {1, count at p}.
+    The count mod r is r^(free columns) times gcd(d, r) for each divisor
+    d (``solution_count_mod``), so every r is read at once: one power per
+    r, then one gcd per r for each divisor other than 1.  The form agrees
+    with the transport census (a separately tested invariant);
+    only-p-colorable objects have profile values in {1, count at p}.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    return [ProfileRow(r, solution_count_mod(form, r)) for r in range(2, r_max + 1)]
-
+    rs = range(2, r_max + 1)
+    counts = list(map(pow, rs, repeat(form.cols - form.rank)))
+    for d in form.divisors:
+        if d != 1:
+            counts = list(map(mul, counts, map(gcd, repeat(d), rs)))
+    # tuple.__new__ builds each row without the NamedTuple's Python-level __new__
+    return list(map(tuple.__new__, repeat(ProfileRow), zip(rs, counts)))

@@ -68,31 +68,33 @@ class IntMatrix:
         return [sum(row[j] * vec[j] for j in range(self.cols)) for row in self.entries]
 
 
+def _bareiss(a: list[list[int]]) -> int:
+    """The determinant of the square matrix with rows a, by fraction-free
+    (Bareiss) elimination in place, which overwrites a."""
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        ak = a[k]
+        piv = ak[k]
+        for ai in a[k + 1 :]:
+            x = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * piv - x * ak[j]) // prev
+        prev = piv
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def int_det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss([list(row) for row in m.entries])
 
 
 @dataclass(frozen=True)
@@ -114,12 +116,13 @@ class SNFResult:
         return self.Q.rows
 
 
-def _min_abs_nonzero(m: list[list[int]], k: int, rows: int, cols: int) -> tuple[int, int] | None:
-    best: tuple[int, int] | None = None
+def _min_abs_nonzero(m: list[list[int]], k: int) -> tuple[int, int] | None:
+    best = None
     best_val = 0
-    for i in range(k, rows):
-        for j in range(k, cols):
-            v = m[i][j]
+    for i in range(k, len(m)):
+        row = m[i]
+        for j in range(k, len(row)):
+            v = row[j]
             if v and (best is None or abs(v) < best_val):
                 best = (i, j)
                 best_val = abs(v)
@@ -132,63 +135,58 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Smith normal form with its column transform.
 
     Pivots are chosen as the nonzero entry of minimal absolute value in
-    the remaining block, which keeps intermediate entries small.  The
-    output is deterministic for a fixed input.
+    the remaining block, which keeps intermediate entries small.  Q is
+    kept by columns.  Once column k is clear below the pivot, a column
+    operation changes only row k of A: one entry, plus one column of Q.
+    A unit pivot divides everything, so it skips the divisibility scan.
+    The output is deterministic for a fixed input.
     """
     rows, cols = a.rows, a.cols
     m = [list(row) for row in a.entries]
-    q = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_sub(i: int, k: int, f: int) -> None:
-        mi, mk = m[i], m[k]
-        for j in range(cols):
-            mi[j] -= f * mk[j]
-
-    def col_sub(j: int, k: int, f: int) -> None:
-        for i in range(rows):
-            m[i][j] -= f * m[i][k]
-        for i in range(cols):
-            q[i][j] -= f * q[i][k]
-
+    q = [[int(i == j) for i in range(cols)] for j in range(cols)]
     k = 0
-    while k < min(rows, cols) and _min_abs_nonzero(m, k, rows, cols) is not None:
-        while True:
-            i0, j0 = _min_abs_nonzero(m, k, rows, cols)  # the block is nonzero
-            if i0 != k:
-                m[k], m[i0] = m[i0], m[k]
-            if j0 != k:
-                for row in m:
-                    row[k], row[j0] = row[j0], row[k]
-                for row in q:
-                    row[k], row[j0] = row[j0], row[k]
-            if m[k][k] < 0:
-                m[k] = [-x for x in m[k]]
-            piv = m[k][k]
-            dirty = False
-            for i in range(k + 1, rows):
-                if m[i][k]:
-                    row_sub(i, k, m[i][k] // piv)
-                    if m[i][k]:
-                        dirty = True
+    # each pass pivots once; k moves on when the pass leaves no remainder
+    while k < min(rows, cols) and (pivot := _min_abs_nonzero(m, k)) is not None:
+        i0, j0 = pivot
+        if i0 != k:
+            m[k], m[i0] = m[i0], m[k]
+        if j0 != k:
+            for row in m:
+                row[k], row[j0] = row[j0], row[k]
+            q[k], q[j0] = q[j0], q[k]
+        mk = m[k]
+        if mk[k] < 0:
+            mk = m[k] = [-x for x in mk]
+        piv = mk[k]
+        dirty = False
+        for i in range(k + 1, rows):
+            x = m[i][k]
+            if x:
+                f = x // piv
+                if f:
+                    m[i] = [u - f * v for u, v in zip(m[i], mk)]
+                dirty = dirty or x != f * piv
+        if not dirty:
+            qk = q[k]
             for j in range(k + 1, cols):
-                if m[k][j]:
-                    col_sub(j, k, m[k][j] // piv)
-                    if m[k][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the block for the divisor chain
-            bad = next(
-                (i for i in range(k + 1, rows) if any(m[i][j] % piv for j in range(k + 1, cols))),
-                None,
-            )
-            if bad is None:
-                break
-            row_sub(k, bad, -1)  # pull the offending row into row k
-        k += 1
+                x = mk[j]
+                if x:
+                    f = x // piv
+                    if f:
+                        mk[j] = x - f * piv
+                        q[j] = [u - f * v for u, v in zip(q[j], qk)]
+                    dirty = dirty or mk[j] != 0
+        if not dirty and piv != 1:
+            # the pivot must divide the rest of the block for the divisor chain
+            bad = next((i for i in range(k + 1, rows) if any(x % piv for x in m[i][k + 1 :])), None)
+            if bad is not None:
+                m[k] = [u + v for u, v in zip(mk, m[bad])]
+                dirty = True
+        if not dirty:
+            k += 1
 
     divisors = tuple(m[i][i] for i in range(k))
-    return SNFResult(divisors=divisors, Q=IntMatrix.from_rows(q, cols=cols))
+    return SNFResult(divisors=divisors, Q=IntMatrix(cols, cols, tuple(zip(*q))))
 
 
 def determinantal_divisor(snf: SNFResult, k: int) -> int:

@@ -48,8 +48,8 @@ from math import prod
 from typing import Sequence
 
 from .braids import BraidWord, closure_component_count
-from .intlinalg import IntMatrix, SNFResult, int_det, smith_normal_form
-from .laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd, normalize_unit
+from .intlinalg import IntMatrix, SNFResult, _bareiss, smith_normal_form
+from .laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd
 
 # -- packed-integer kernel ----------------------------------------------------
 
@@ -187,14 +187,12 @@ def _burau_columns(word: BraidWord) -> tuple[int, list[list[int]], list[int], li
 def _minus_identity(
     packed: tuple[int, list[list[int]], list[int], list[int]],
 ) -> tuple[int, list[list[int]], list[int], list[int]]:
-    """Vector i of I - A from vector i of A, packed: (k, values, powers, bounds)."""
+    """Vector i of A - I from vector i of A, in place, packed: (k, values,
+    powers, bounds); det(A - I) = +-det(I - A), and I - A is its negative."""
     k, vectors, powers, bounds = packed
-    out = []
     for i, vec in enumerate(vectors):
-        vec = [-v for v in vec]
-        vec[i] += 1 << k * powers[i]
-        out.append(vec)
-    return k, out, powers, [b + 1 for b in bounds]
+        vec[i] -= 1 << k * powers[i]
+    return k, vectors, powers, [b + 1 for b in bounds]
 
 
 def _packed_int_det(rows: list[list[int]], bounds: Sequence[int], k: int) -> tuple[int, int]:
@@ -205,22 +203,23 @@ def _packed_int_det(rows: list[list[int]], bounds: Sequence[int], k: int) -> tup
     the l1 norm of the determinant, a signed sum of products with one entry
     from each row, is at most prod(bounds); the rows are first repacked
     to k' = ``_width(prod(bounds))`` when k is narrower, which keeps every
-    coefficient below 2^(k'-2)."""
+    coefficient below 2^(k'-2).  ``int_det``'s elimination overwrites rows."""
     wide = _width(prod(bounds))
     if wide > k:
         rows = [[_pack(_unpack(v, k), wide) for v in row] for row in rows]
         k = wide
-    size = len(rows)
-    return int_det(IntMatrix(size, size, tuple(map(tuple, rows)))), k
+    return _bareiss(rows), k
 
 
-def _packed_det(
-    rows: list[list[int]], powers: Sequence[int], bounds: Sequence[int], k: int
-) -> LaurentPoly:
-    """Determinant of the square matrix whose row i is t^-powers[i] times
-    the polynomials packed as rows[i] at 2^k, of l1 norm at most bounds[i]."""
-    det, k = _packed_int_det(rows, bounds, k)
-    return _to_poly(det, sum(powers), k)
+def _unit_normal(v: int, k: int) -> LaurentPoly:
+    """``normalize_unit`` of the f in Z[t] packed as v at 2^k, read straight
+    from its digits; ValueError for v = 0."""
+    cs = _unpack(v, k)
+    if not cs:
+        raise ValueError("the zero polynomial has no unit normalization")
+    low = next(e for e, c in enumerate(cs) if c)
+    sign = -1 if cs[low] < 0 else 1
+    return LaurentPoly._of({e: sign * c for e, c in enumerate(cs[low:]) if c})
 
 
 def burau_alexander(a: BraidWord) -> LaurentPoly:
@@ -238,9 +237,10 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
         +k:  col_k <- -t col_k + t col_{k-1} + col_{k+1}
         -k:  col_k <- -t^-1 col_k + col_{k-1} + t^-1 col_{k+1}
 
-    The columns are packed (``_burau_columns``), det(I - B) = t^-s c(t),
-    s = sum(powers), is one integer determinant of them, c(T), and the
-    division is one integer divmod at T = 2^k, unpacked once:
+    The columns are packed (``_burau_columns``), det(B - I) = +-det(I - B)
+    = t^-s c(t), s = sum(powers), is one integer determinant of them, c(T),
+    and the division is one integer divmod at T = 2^k, unpacked once into
+    its unit-normal form (``_unit_normal``, which drops the sign):
 
     * Let P = prod(bounds).  ``_packed_int_det`` gives ||c||_1 <= P and a
       width with P < 2^(k-2), so f = c (1 - t) has ||f||_1 <= 2P < 2^(k-1).
@@ -256,15 +256,20 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
     """
     if closure_component_count(a) != 1:
         raise ValueError("the closure is not a knot")
+    return _burau_alexander(a)
+
+
+def _burau_alexander(a: BraidWord) -> LaurentPoly:
+    """``burau_alexander`` of a braid whose closure is known to be a knot."""
     n = a.strands
     if n == 1:
         return LaurentPoly.one()
-    k, cols, powers, bounds = _minus_identity(_burau_columns(a))
+    k, cols, _, bounds = _minus_identity(_burau_columns(a))
     char, k = _packed_int_det(cols, bounds, k)
     quotient, remainder = divmod(char - (char << k), 1 - (1 << k * n))
     if remainder:
         raise ValueError("non-exact polynomial division")
-    return normalize_unit(_to_poly(quotient, sum(powers), k))
+    return _unit_normal(quotient, k)
 
 
 def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
@@ -285,7 +290,7 @@ def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
     rows = []
     for word in braids:
         k, vectors, powers, _ = _minus_identity(_jacobian_rows(word))
-        rows.extend([_to_poly(v, p, k) for v in vec] for vec, p in zip(vectors, powers) if any(vec))
+        rows.extend([_to_poly(-v, p, k) for v in vec] for vec, p in zip(vectors, powers) if any(vec))
     return LaurentMatrix.from_rows(rows, cols=braids[0].strands)
 
 
@@ -304,17 +309,25 @@ def knot_poly(a: BraidWord) -> LaurentPoly:
       permutation pi, an n-cycle, so no row is zero and M has all n rows.
 
     Hence every minor that avoids the base column is an associate of Delta.
-    The rows are packed (``_jacobian_rows``), and the minor is one integer
-    determinant of them.
+    The rows are packed (``_jacobian_rows``), and the minor of J - I, which
+    is +-1 times that of I - J, is one integer determinant of them,
+    unpacked once into its unit-normal form.
     """
     if closure_component_count(a) != 1:
         raise ValueError("the closure is not a knot")
+    return _knot_poly(a)
+
+
+def _knot_poly(a: BraidWord) -> LaurentPoly:
+    """``knot_poly`` of a braid whose closure is known to be a knot."""
     n = a.strands
     if n == 1:
         return LaurentPoly.one()
-    k, rows, powers, bounds = _minus_identity(_jacobian_rows(a))
+    k, rows, powers, bounds = _jacobian_rows(a)
     minor = [row[:-1] for row in rows[: n - 1]]
-    return normalize_unit(_packed_det(minor, powers[: n - 1], bounds[: n - 1], k))
+    k, minor, _, bounds = _minus_identity((k, minor, powers[: n - 1], bounds[: n - 1]))
+    det, k = _packed_int_det(minor, bounds, k)
+    return _unit_normal(det, k)
 
 
 def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
@@ -365,7 +378,9 @@ def coloring_form(*braids: BraidWord) -> SNFResult:
     M(-1) comes from the letter rules at t = -1 (``_jacobian_at_minus_one``),
     and every row that vanishes there is dropped, including those of M that
     vanish only at t = -1.  A zero row changes no divisor, no solution and
-    no column transform.
+    no column transform.  The rows reduced are those of J(-1) - I, the
+    negatives of M's, whose form has the same divisors and whose Q serves
+    M(-1) as well.
     """
     if len({word.strands for word in braids}) != 1:
         raise ValueError("one or more braids on the same number of strands are required")
@@ -373,7 +388,9 @@ def coloring_form(*braids: BraidWord) -> SNFResult:
     rows = []
     for word in braids:
         for i, row in enumerate(_jacobian_at_minus_one(word)):
-            relator = [int(i == j) - x for j, x in enumerate(row[:-1])]
+            relator = row[:-1]
+            if i < n - 1:
+                relator[i] -= 1
             if any(relator):
-                rows.append(relator)
-    return smith_normal_form(IntMatrix.from_rows(rows, cols=n - 1))
+                rows.append(tuple(relator))
+    return smith_normal_form(IntMatrix(len(rows), n - 1, tuple(rows)))

@@ -37,6 +37,8 @@ def random_word(rng, rank, max_len=6):
 
 def test_parse_expands_runs():
     assert parse_braid("1 1 1", 2) == parse_braid("1^3", 2)
+    # \d matches every Unicode decimal digit, as the plain-token path must
+    assert parse_braid("+1^2 \u0661 -\u0661^\u0662", 2).letters == (1, 1, 1, -1, -1)
     assert parse_braid("1^3", 2).letters == (1, 1, 1)
     assert parse_braid("1 -2 1^2", 3).letters == (1, -2, 1, 1)
 
@@ -49,6 +51,12 @@ def test_parse_empty_is_identity():
 def test_parse_rejects_bad_tokens():
     with pytest.raises(ValueError):
         parse_braid("3", 3)  # generators of B_3 are 1..2
+    with pytest.raises(ValueError, match="out of range"):
+        parse_braid("-0", 2)
+    # int() reads "1_0" as 10 and str.isdigit() accepts "²", but neither is a token
+    for token in ("1_0", "1\u00b2", "+-1"):
+        with pytest.raises(ValueError, match="malformed"):
+            parse_braid(token, 12)
     with pytest.raises(ValueError):
         parse_braid("0", 2)
     with pytest.raises(ValueError):
@@ -83,8 +91,10 @@ def braid_tokens(draw):
     sign = draw(st.sampled_from(["", "+", "-"]))
     index = draw(st.integers(0, 7))
     exp = draw(st.one_of(st.none(), st.integers(-2, 9)))
-    junk = draw(st.sampled_from(["", "", "", "x", "^", "^^2", ".", "1-"]))
-    text = f"{sign}{index}" + ("" if exp is None else f"^{exp}") + junk
+    junk = draw(st.sampled_from(["", "", "", "x", "^", "^^2", ".", "1-", "_0", "\u00b2"]))
+    # the index in ASCII or in Arabic-Indic digits, which \d also matches
+    digits = draw(st.sampled_from(["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"]))
+    text = f"{sign}{digits[index]}" + ("" if exp is None else f"^{exp}") + junk
     if junk or (exp is not None and exp < 1):
         return text, None
     return text, [-index if sign == "-" else index] * (1 if exp is None else exp)

@@ -679,6 +679,21 @@ def test_rmax_over_the_bound_is_refused_before_any_work(capsys, monkeypatch):
         assert (code, out) == (EXIT_USAGE, ""), argv
         assert err == f"error: --rmax {argv[argv.index('--rmax') + 1]} exceeds 10000\n", argv
     monkeypatch.undo()
+    # an --rmax below 2 is refused after the cheap knot and commutation
+    # checks, which keep their exit codes, and before the coloring form
+    monkeypatch.setattr(cli, "coloring_form", None)
+    for argv in (
+        ["knot", "1^4001", "-n", "2", "--rmax", "1"],
+        ["knot", "1^3", "-n", "2", "--rmax", "-5", "--json"],
+        ["surface", "1^3", "-n", "2", "--fulltwist", "1", "--rmax", "0"],
+        ["surface", "1^3", "1^6", "-n", "2", "--rmax", "1", "--json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err == f"error: --rmax {argv[argv.index('--rmax') + 1]} must be at least 2\n", argv
+    assert run(capsys, "knot", "1^2", "-n", "2", "--rmax", "1")[0] == EXIT_NOT_A_KNOT
+    assert run(capsys, "surface", "1 2", "1", "-n", "3", "--rmax", "1")[0] == EXIT_NOT_COMMUTING
+    monkeypatch.undo()
     assert cli.MAX_RMAX == 10_000
     report = run_json(capsys, "knot", "1^3", "-n", "2", "--rmax", "12", "--json")
     assert [row["r"] for row in report["colorings"]] == list(range(2, 13))

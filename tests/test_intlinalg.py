@@ -3,7 +3,10 @@ from itertools import product
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kreps.colorings import colorability_profile
 from kreps.intlinalg import (
     EnumerationCapExceeded,
     IntMatrix,
@@ -14,7 +17,7 @@ from kreps.intlinalg import (
     smith_normal_form,
     solution_count_mod,
 )
-from kreps.oracles import enumerate_solutions_mod, minor_gcd
+from kreps.oracles import enumerate_solutions_mod, matrix_mismatch, minor_gcd
 
 
 def random_matrix(rng, max_dim=4, bound=9):
@@ -103,6 +106,10 @@ def test_snf_check_refuses_wrong_forms(monkeypatch):
 def test_snf_examples():
     snf = check_snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
     assert snf.divisors == (1, 6)
+    # non-unit pivots that divide nothing else, and a zero row and column
+    assert check_snf(IntMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, 3]])).divisors == (1, 6)
+    assert check_snf(IntMatrix.from_rows([[4, 6], [6, 9], [2, 3]])).divisors == (1,)
+    assert check_snf(IntMatrix.from_rows([[2, 4], [6, 8]])).divisors == (2, 4)
 
     snf = check_snf(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]], cols=3))
     assert snf.divisors == ()
@@ -241,6 +248,8 @@ def test_enumeration_matches_brute_force_on_non_cyclic_groups():
         enumerated = enumerate_solutions_mod(snf, r)
         assert len(enumerated) == len(set(enumerated)) == solution_count_mod(snf, r)
         assert sorted(enumerated) == sorted(brute_solutions(a, r)), (a.entries, r)
+        # the profile reads every r at once from the same divisors
+        assert colorability_profile(snf, 13) == [(r, solution_count_mod(snf, r)) for r in range(2, 14)]
         orders = [gcd(x, r) for x in d]
         non_cyclic += sum(g > 1 for g in orders) >= 2
     assert non_cyclic >= 10
@@ -250,6 +259,28 @@ def test_random_battery_snf():
     rng = random.Random(22)
     for _ in range(150):
         check_snf(random_matrix(rng))
+
+
+@st.composite
+def snf_matrices(draw):
+    """A matrix with 0-6 rows and 1-6 columns, entries from a pool that is
+    sometimes free of units (so every pivot is 2 or more), and sometimes a
+    zero row and a zero column."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    pool = draw(st.sampled_from([range(-3, 4), (0, 0, 2, -2, 3, -3, 4, 6, -6, 9)]))
+    grid = [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        grid[draw(st.integers(0, rows - 1))] = [0] * cols
+        j = draw(st.integers(0, cols - 1))
+        for row in grid:
+            row[j] = 0
+    return IntMatrix.from_rows(grid, cols=cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(snf_matrices())
+def test_snf_passes_the_matrix_oracle(a):
+    assert matrix_mismatch(a, (2, 3, 4, 6)) is None, a.entries
 
 
 def test_int_det_matches_permutation_expansion():

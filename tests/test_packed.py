@@ -31,8 +31,9 @@ from kreps.presentations import (
     _jacobian_rows,
     _minus_identity,
     _pack,
-    _packed_det,
+    _packed_int_det,
     _to_poly,
+    _unit_normal,
     _unpack,
     _width,
     alexander_matrix,
@@ -96,6 +97,11 @@ def test_pack_and_unpack_give_the_polynomial_back(case):
     v = _pack(cs, k)
     assert v == sum(c * 2 ** (k * e) for e, c in enumerate(cs))
     assert _to_poly(v, power, k) == f
+    if f:
+        assert _unit_normal(v, k) == normalize_unit(f)
+    else:
+        with pytest.raises(ValueError):
+            _unit_normal(v, k)
     while cs and not cs[-1]:
         cs.pop()
     assert _unpack(v, k) == cs
@@ -205,6 +211,13 @@ def test_packed_columns_match_the_laurent_rule_after_every_letter(word, narrow):
 def _dense(f):
     return [f.coeff(e) for e in range(f.max_exp + 1)] if f else []
 
+
+def packed_det(rows, powers, bounds, k):
+    """The determinant of packed rows, row i carrying t^-powers[i], as a
+    Laurent polynomial: ``_packed_int_det`` unpacked at the width it gives."""
+    det, k = _packed_int_det(rows, bounds, k)
+    return _to_poly(det, sum(powers), k)
+
 small_polys = st.dictionaries(st.integers(-3, 3), st.integers(-40, 40), max_size=3).map(LaurentPoly)
 square_grids = st.integers(0, 4).flatmap(
     lambda n: st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -221,7 +234,7 @@ def test_packed_det_matches_laurent_det_with_tight_bounds(grid):
     k = _width(max(bounds, default=1))
     rows = [[_pack(_dense(f.shifted(p)), k) for f in row] for row, p in zip(grid, powers)]
     expected = laurent_det(LaurentMatrix(n, n, tuple(map(tuple, grid))))
-    assert _packed_det(rows, powers, bounds, k) == expected
+    assert packed_det(rows, powers, bounds, k) == expected
 
 
 def test_packed_det_of_monomials_reaches_the_bound():
@@ -233,7 +246,7 @@ def test_packed_det_of_monomials_reaches_the_bound():
         rows = [[_pack(_dense(f), k) if i == j else 0 for j in range(size)]
                 for i, f in enumerate(diagonal)]
         expected = LaurentPoly.term(-(c**size), size * (size - 1) // 2)
-        assert _packed_det(rows, [0] * size, [c] * size, k) == expected
+        assert packed_det(rows, [0] * size, [c] * size, k) == expected
 
 
 # -- the packed routes on long words ------------------------------------------------
