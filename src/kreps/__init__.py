@@ -8,7 +8,11 @@ The slower, independent routes that cross-check these numbers, and the
 so they are imported from there and not exported here.
 
 All values are immutable and all operations are pure functions, so the
-whole API is safe to call concurrently.
+whole API is safe to call concurrently.  The record types are NamedTuples
+or ``__slots__`` classes on ``_frozen.Frozen``, which refuses assignment,
+and a ``LaurentPoly`` hands out copies of its coefficients.  None is a
+dataclass, so importing the package loads no more of the standard library
+than a report runs.
 """
 
 from .braids import (
@@ -18,7 +22,6 @@ from .braids import (
     full_twist,
     parse_braid,
     prime_twist_family,
-    random_knot_braid,
 )
 from .colorings import (
     ColoringCensus,
@@ -43,7 +46,6 @@ from .intlinalg import (
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
-    exact_div,
     laurent_det,
     laurent_minor_gcd,
     normalize_unit,

@@ -15,29 +15,28 @@ Conventions, fixed once for the whole package:
   slot; slots are numbered 0..n-1 internally.
 """
 
-from __future__ import annotations
-
-import random
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in the braid generators on ``strands`` strands."""
 
-    strands: int
-    letters: tuple[int, ...]
+class BraidWord(Frozen):
+    """A word in the braid generators on ``strands`` strands.
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
+    Immutable, compared and hashed by its fields."""
+
+    __slots__ = ("strands", "letters")
+
+    def __init__(self, strands: int, letters: Sequence[int]) -> None:
+        if strands < 1:
             raise ValueError("a braid needs at least one strand")
-        letters = tuple(map(int, self.letters))
+        letters = tuple(map(int, letters))
+        if letters and (0 in letters or max(letters) >= strands or min(letters) <= -strands):
+            bad = next(x for x in letters if x == 0 or abs(x) >= strands)
+            raise ValueError(f"generator index {bad} out of range for {strands} strands")
+        object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", letters)
-        if letters and (0 in letters or max(letters) >= self.strands or min(letters) <= -self.strands):
-            bad = next(x for x in letters if x == 0 or abs(x) >= self.strands)
-            raise ValueError(f"generator index {bad} out of range for {self.strands} strands")
 
     @classmethod
     def identity(cls, strands: int) -> "BraidWord":
@@ -115,17 +114,6 @@ def closure_component_count(a: BraidWord) -> int:
             while slots[at] >= 0:
                 slots[at], at = -1, slots[at]
     return count
-
-
-def random_knot_braid(rng: random.Random, max_strands: int, max_len: int) -> BraidWord:
-    """A random word on 2..max_strands strands, 1..max_len letters, with knot closure."""
-    while True:
-        n = rng.randint(2, max_strands)
-        length = rng.randint(1, max_len)
-        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
-        a = BraidWord(n, letters)
-        if closure_component_count(a) == 1:
-            return a
 
 
 def _dynnikov(word: BraidWord) -> tuple[int, ...]:

@@ -16,12 +16,11 @@ The oracles and the ``verify`` sweep live in ``kreps.oracles``, which
 ``main`` imports only to run ``verify``; no report loads it.
 """
 
-from __future__ import annotations
-
 import sys
+# the C string encoder that json.encoder wraps, without loading the json package
+from _json import encode_basestring_ascii
 from functools import lru_cache
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import mul
 from types import SimpleNamespace
 from typing import Any, Sequence
@@ -547,7 +546,7 @@ def _parse_argv(argv: Sequence[str]) -> SimpleNamespace | None:
 def _check_verify_options(args: SimpleNamespace) -> None:
     """Refuse ``verify`` options that leave nothing to check, no knot to
     draw or no end to the sweep: a knot word on n strands needs at least
-    n - 1 letters, so ``random_knot_braid`` would never return past
+    n - 1 letters, so ``oracles.random_knot_braid`` would never return past
     max_len + 1 strands; past ``MAX_VERIFY_LEN`` letters the free-word
     relators of the oracles take minutes, and past ``MAX_VERIFY_STRANDS``
     strands the transport census exceeds the enumeration cap."""

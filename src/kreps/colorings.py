@@ -17,9 +17,6 @@ a multiple of r, and fixing the base (last) arc or generator to color 0
 kills exactly that translation symmetry.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import product, repeat
 from math import gcd
 from operator import mul
@@ -29,8 +26,7 @@ from .braids import BraidWord
 from .intlinalg import EnumerationCapExceeded, SNFResult, solution_count_mod, _count_text, _enum_cap
 
 
-@dataclass(frozen=True)
-class ColoringCensus:
+class ColoringCensus(NamedTuple):
     """Counting summary of the colorings of one object modulo r.
 
     ``condition_o`` counts colorings with the base arc or generator

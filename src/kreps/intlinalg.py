@@ -9,12 +9,11 @@ so the reduction does not keep one.  The brute-force minors
 integers throughout, so nothing ever overflows.
 """
 
-from __future__ import annotations
-
 import os
-from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+from ._frozen import Frozen
 
 DEFAULT_ENUM_CAP = 10**6
 ENUM_CAP_ENV = "KREPS_ENUM_CAP"
@@ -24,18 +23,21 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised when a solution enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+class IntMatrix(Frozen):
+    """A rectangular integer matrix with explicit shape.  Immutable,
+    compared and hashed by its fields."""
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("matrix is not rectangular")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
@@ -97,8 +99,7 @@ def int_det(m: IntMatrix) -> int:
     return _bareiss([list(row) for row in m.entries])
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """The Smith normal form of A: the divisors, positive and each dividing
     the next, and a unimodular Q such that P @ A @ Q = diag(divisors) for
     some unimodular P, which is not kept.  So column j of A @ Q is

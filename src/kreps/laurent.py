@@ -6,12 +6,11 @@ over the ring are thin immutable grids used for Alexander-type matrices,
 with determinants computed by signed subset expansion (exact, no division).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
+
+from ._frozen import Frozen
 
 
 class LaurentPoly:
@@ -204,7 +203,7 @@ def normalize_unit(f: LaurentPoly) -> LaurentPoly:
     return g
 
 
-# -- dense Z[t] helpers (internal to gcd/division) ------------------------
+# -- dense Z[t] helpers (for the gcd and oracles.exact_div) --------------
 
 
 def _dense(f: LaurentPoly) -> tuple[int, list[int]]:
@@ -257,32 +256,6 @@ def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return r
 
 
-def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact quotient f / g in the Laurent ring; raises if not divisible."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero:
-        return LaurentPoly.zero()
-    fo, fc = _dense(f)
-    go, gc = _dense(g)
-    if len(fc) < len(gc):
-        raise ValueError("non-exact polynomial division")
-    q = [0] * (len(fc) - len(gc) + 1)
-    r = list(fc)
-    while len(_trim(r)) >= len(gc) and r:
-        lr, lg = r[-1], gc[-1]
-        if lr % lg != 0:
-            raise ValueError("non-exact polynomial division")
-        k = len(r) - len(gc)
-        q[k] = lr // lg
-        for i, c in enumerate(gc):
-            r[k + i] -= q[k] * c
-        _trim(r)
-    if _trim(r):
-        raise ValueError("non-exact polynomial division")
-    return _from_dense(fo - go, q)
-
-
 def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """gcd in Z[t, 1/t] up to unit, returned in unit-normal form.
 
@@ -311,21 +284,22 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # -- matrices over the Laurent ring ---------------------------------------
 
 
-@dataclass(frozen=True)
-class LaurentMatrix:
+class LaurentMatrix(Frozen):
     """A rectangular matrix over Z[t, 1/t].  Rows and columns are explicit
-    so that empty matrices (0 x m) keep their shape."""
+    so that empty matrices (0 x m) keep their shape.  Immutable, compared
+    and hashed by its fields."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[LaurentPoly, ...], ...]) -> None:
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("matrix is not rectangular")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[LaurentPoly]], cols: int | None = None) -> "LaurentMatrix":

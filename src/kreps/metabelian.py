@@ -32,35 +32,33 @@ and sorts the classes by coloring itself, since the enumeration promises
 no order.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
+from ._frozen import Frozen
 from .braids import is_odd_prime
 from .intlinalg import SNFResult, determinantal_divisor, solution_columns_mod
 
 
-@dataclass(frozen=True)
-class BinaryDihedralElt:
+class BinaryDihedralElt(Frozen):
     """D(angle) or R(angle) in the binary dihedral group of order 2*modulus.
 
     ``modulus`` is 2m for the odd parameter m >= 3; ``kind`` is "D" for
-    diagonal and "R" for antidiagonal elements.
+    diagonal and "R" for antidiagonal elements.  The angle is kept modulo
+    the modulus.  Immutable, compared and hashed by its fields.
     """
 
-    modulus: int
-    kind: str
-    angle: int
+    __slots__ = ("modulus", "kind", "angle")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 6 or self.modulus % 2 or (self.modulus // 2) % 2 == 0:
+    def __init__(self, modulus: int, kind: str, angle: int) -> None:
+        if modulus < 6 or modulus % 2 or (modulus // 2) % 2 == 0:
             raise ValueError("modulus must be 2m for an odd m >= 3")
-        if self.kind not in ("D", "R"):
+        if kind not in ("D", "R"):
             raise ValueError("kind must be 'D' or 'R'")
-        object.__setattr__(self, "angle", self.angle % self.modulus)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "angle", angle % modulus)
 
     @classmethod
     def d(cls, m: int, k: int) -> "BinaryDihedralElt":

@@ -22,12 +22,16 @@ routes here reach the same numbers another way:
 * the solutions modulo r as tuples (``enumerate_solutions_mod``), for
   the solution counts and the nondegenerate colorings;
 * the class list by a scan for each solution's first nonzero color
-  (``scan_rep_classes``), for the choice of representatives.
+  (``scan_rep_classes``), for the choice of representatives;
+* exact division in the Laurent ring (``exact_div``), for the Burau
+  route's division by 1 - t^n, which production does as one integer
+  ``divmod``.
 
 ``braid_mismatch``, ``long_word_mismatch``, ``matrix_mismatch``,
 ``class_mismatch`` and ``pair_mismatch`` each run every check on one
 input and return a description of the first failure, or None.
-``verify_report`` runs them over a seeded sweep; the acceptance tests
+``verify_report`` runs them over a seeded sweep of random knot braids
+(``random_knot_braid``) and matrices; the acceptance tests
 call them on their own seeds.
 
 Conventions:
@@ -71,7 +75,6 @@ from .braids import (
     closure_component_count,
     full_twist,
     parse_braid,
-    random_knot_braid,
 )
 from .colorings import ColoringCensus, coloring_census, generated_subgroup, surface_coloring_census
 from .intlinalg import (
@@ -83,7 +86,7 @@ from .intlinalg import (
     solution_columns_mod,
     solution_count_mod,
 )
-from .laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd, poly_str
+from .laurent import LaurentMatrix, LaurentPoly, _dense, _from_dense, _trim, laurent_minor_gcd, poly_str
 from .metabelian import BinaryDihedralElt, RepClass, bd_inv, bd_mul, enumerate_rep_classes
 from .presentations import alexander_matrix, alexander_poly, burau_alexander, coloring_form, knot_poly
 
@@ -434,6 +437,35 @@ def diagram_census_brute(d: ClosureDiagram, r: int) -> ColoringCensus:
     return ColoringCensus(modulus=r, total=total, nondegenerate=nondeg, condition_o=cond)
 
 
+# -- Laurent division ----------------------------------------------------------------
+
+
+def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Exact quotient f / g in the Laurent ring; raises if not divisible."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero:
+        return LaurentPoly.zero()
+    fo, fc = _dense(f)
+    go, gc = _dense(g)
+    if len(fc) < len(gc):
+        raise ValueError("non-exact polynomial division")
+    q = [0] * (len(fc) - len(gc) + 1)
+    r = list(fc)
+    while len(_trim(r)) >= len(gc) and r:
+        lr, lg = r[-1], gc[-1]
+        if lr % lg != 0:
+            raise ValueError("non-exact polynomial division")
+        k = len(r) - len(gc)
+        q[k] = lr // lg
+        for i, c in enumerate(gc):
+            r[k + i] -= q[k] * c
+        _trim(r)
+    if _trim(r):
+        raise ValueError("non-exact polynomial division")
+    return _from_dense(fo - go, q)
+
+
 # -- divisors and representations -------------------------------------------------
 
 
@@ -648,6 +680,17 @@ def minimize_braid(a: BraidWord) -> BraidWord:
                 improved = True
                 break
     return current
+
+
+def random_knot_braid(rng: random.Random, max_strands: int, max_len: int) -> BraidWord:
+    """A random word on 2..max_strands strands, 1..max_len letters, with knot closure."""
+    while True:
+        n = rng.randint(2, max_strands)
+        length = rng.randint(1, max_len)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+        a = BraidWord(n, letters)
+        if closure_component_count(a) == 1:
+            return a
 
 
 def random_int_matrix(rng: random.Random) -> IntMatrix:

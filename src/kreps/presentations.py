@@ -42,8 +42,6 @@ them at t = -1:
   route divides it by 1 - t^n as one integer divmod at that width.
 """
 
-from __future__ import annotations
-
 from math import prod
 from typing import Sequence
 
@@ -168,11 +166,12 @@ def _burau_columns(word: BraidWord) -> tuple[int, list[list[int]], list[int], li
             bound = bounds[c - 1] + bounds[c] + bounds[c + 1]
         lower, mid, upper = cols[c - 1], cols[c], cols[c + 1]
         p = max(powers[c - 1], powers[c], powers[c + 1])
-        if powers[c - 1] < p:
+        # the zero columns 0 and n keep power 0 and need no alignment
+        if powers[c - 1] < p and c > 1:
             lower = [x << (p - powers[c - 1]) * k for x in lower]
         if powers[c] < p:
             mid = [x << (p - powers[c]) * k for x in mid]
-        if powers[c + 1] < p:
+        if powers[c + 1] < p and c < size:
             upper = [x << (p - powers[c + 1]) * k for x in upper]
         if letter > 0:
             cols[c] = [((y - x) << k) + z for x, y, z in zip(mid, lower, upper)]

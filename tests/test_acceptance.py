@@ -15,7 +15,6 @@ from kreps.braids import (
     full_twist,
     parse_braid,
     prime_twist_family,
-    random_knot_braid,
 )
 from kreps.colorings import (
     colorability_profile,
@@ -37,6 +36,7 @@ from kreps.oracles import (
     matrix_mismatch,
     pair_mismatch,
     random_int_matrix,
+    random_knot_braid,
     torus_covering_presentation,
     verify_representation,
 )

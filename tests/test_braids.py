@@ -13,9 +13,8 @@ from kreps.braids import (
     full_twist,
     parse_braid,
     prime_twist_family,
-    random_knot_braid,
 )
-from kreps.oracles import FreeWord, artin_act, free_words_commute
+from kreps.oracles import FreeWord, artin_act, free_words_commute, random_knot_braid
 
 
 def random_braid(rng, max_strands=4, max_len=8, min_len=0):

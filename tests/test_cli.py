@@ -261,6 +261,7 @@ def test_reports_reduce_each_matrix_once(capsys, monkeypatch):
 
 def test_knot_report_takes_one_minor(capsys, monkeypatch):
     import kreps.laurent as laurent
+    import kreps.oracles as oracles
 
     argv = ("knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json")
     code, expected, _ = run(capsys, *argv)
@@ -281,9 +282,9 @@ def test_knot_report_takes_one_minor(capsys, monkeypatch):
 
     for name in calls:
         patch_kreps_bindings(monkeypatch, *counter(name))
-    monkeypatch.setattr(laurent.LaurentMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(laurent.LaurentMatrix, "__init__", refuse)
     # the Burau division is one integer divmod
-    patch_kreps_bindings(monkeypatch, laurent.exact_div, refuse)
+    patch_kreps_bindings(monkeypatch, oracles.exact_div, refuse)
     monkeypatch.setattr(laurent.LaurentPoly, "__mul__", refuse)
     assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
     # the minor and the Burau determinant are integer determinants
@@ -614,10 +615,8 @@ def test_verify_checks_commutation_and_non_degeneracy(capsys, monkeypatch):
         code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
     assert code == cli.EXIT_VERIFY_MISMATCH
     assert "Dynnikov and free-word commutation checks differ" in json.loads(out)["failure"]
-    from dataclasses import replace
-
     census = oracles.coloring_census
-    monkeypatch.setattr(oracles, "coloring_census", lambda form, r: replace(census(form, r), nondegenerate=True))
+    monkeypatch.setattr(oracles, "coloring_census", lambda form, r: census(form, r)._replace(nondegenerate=True))
     code, out, _ = run(capsys, "verify", "--seed", "3", "--trials", "2", "--json")
     assert code == cli.EXIT_VERIFY_MISMATCH
     assert "census mismatch at r=2: matrix 2/1 nondegenerate, transport 2/1, diagram 2/1" in json.loads(out)["failure"]
@@ -642,7 +641,7 @@ def test_verify_checks_commutation_and_non_degeneracy(capsys, monkeypatch):
     ],
 )
 def test_verify_refuses_options_that_check_nothing(capsys, monkeypatch, options, option):
-    from kreps.braids import random_knot_braid
+    from kreps.oracles import random_knot_braid
 
     # refused before any braid is drawn
     patch_kreps_bindings(monkeypatch, random_knot_braid, None)
@@ -967,6 +966,34 @@ def test_kreps_does_not_import_argparse():
     script = "import sys\nimport kreps.cli\nassert 'argparse' not in sys.modules\n"
     env = dict(os.environ, PYTHONPATH=str(Path(kreps.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+
+
+def test_import_loads_what_reports_run_and_nothing_else():
+    """``import kreps.cli`` loads no stdlib machinery that no report runs,
+    and every module a report runs is loaded by it: a knot report in both
+    forms, a surface report, a family report and a refused word then
+    import nothing.  ``-S`` keeps site's own imports out of the check."""
+    import kreps
+
+    src = str(Path(kreps.__file__).parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import kreps.cli\n"
+        "unused = {'dataclasses', 'json', 'inspect', 'random', '__future__'} & set(sys.modules)\n"
+        "assert not unused, unused\n"
+        "loaded = set(sys.modules)\n"
+        "runs = [(['knot', '1 2 1 2', '-n', '3', '--rmax', '12', '--json'], 0),\n"
+        "        (['knot', '1 -2 1 -2', '-n', '3', '--rmax', '6'], 0),\n"
+        "        (['surface', '1^3', '1^6', '-n', '2', '--rmax', '8', '--json'], 0),\n"
+        "        (['family', '3', '3', '1', '--json'], 0),\n"
+        "        (['knot', '1 1', '-n', '2'], 2)]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [(argv, kreps.cli.main(argv)) for argv, _ in runs]\n"
+        "assert codes == [(argv, code) for argv, code in runs], codes\n"
+        "assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)\n"
+    )
+    subprocess.run([sys.executable, "-S", "-c", script], check=True, timeout=60)
 
 
 # -- hostile and malformed input -------------------------------------------------

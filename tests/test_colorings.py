@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreps.braids import BraidWord, full_twist, parse_braid, random_knot_braid
+from kreps.braids import BraidWord, full_twist, parse_braid
 from kreps.colorings import (
     ColoringCensus,
     colorability_profile,
@@ -16,7 +16,13 @@ from kreps.colorings import (
     surface_coloring_census,
 )
 from kreps.intlinalg import IntMatrix, determinantal_divisor, smith_normal_form
-from kreps.oracles import closure_diagram, coloring_matrix, diagram_census_brute, enumerate_solutions_mod
+from kreps.oracles import (
+    closure_diagram,
+    coloring_matrix,
+    diagram_census_brute,
+    enumerate_solutions_mod,
+    random_knot_braid,
+)
 from kreps.presentations import coloring_form
 
 TREFOIL = parse_braid("1^3", 2)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from kreps.laurent import (
     LaurentMatrix,
     LaurentPoly,
-    exact_div,
     laurent_det,
     laurent_minor_gcd,
     normalize_unit,
     poly_gcd,
     poly_str,
 )
+from kreps.oracles import exact_div
 
 
 def random_poly(rng, max_terms=4, max_exp=4, max_coeff=6):

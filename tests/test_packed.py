@@ -14,18 +14,16 @@ from kreps.braids import (
     closure_component_count,
     full_twist,
     parse_braid,
-    random_knot_braid,
 )
 from kreps.intlinalg import IntMatrix, smith_normal_form
 from kreps.laurent import (
     LaurentMatrix,
     LaurentPoly,
-    exact_div,
     laurent_det,
     laurent_minor_gcd,
     normalize_unit,
 )
-from kreps.oracles import LONG_WORDS, enumerate_solutions_mod
+from kreps.oracles import LONG_WORDS, enumerate_solutions_mod, exact_div, random_knot_braid
 from kreps.presentations import (
     _burau_columns,
     _jacobian_rows,

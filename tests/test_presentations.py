@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kreps.braids import BraidWord, full_twist, parse_braid, random_knot_braid
+from kreps.braids import BraidWord, full_twist, parse_braid
 from kreps.intlinalg import (
     IntMatrix,
     determinantal_divisor,
@@ -12,7 +12,6 @@ from kreps.intlinalg import (
 from kreps.laurent import (
     LaurentMatrix,
     LaurentPoly,
-    exact_div,
     laurent_det,
     laurent_minor_gcd,
     normalize_unit,
@@ -26,8 +25,10 @@ from kreps.oracles import (
     closure_presentation,
     coloring_matrix,
     enumerate_solutions_mod,
+    exact_div,
     fox_derivative_abelianized,
     fox_matrix,
+    random_knot_braid,
     torus_covering_presentation,
 )
 from kreps.presentations import (
