@@ -46,10 +46,7 @@ from .intlinalg import (
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
-    laurent_det,
-    laurent_minor_gcd,
     normalize_unit,
-    poly_gcd,
     poly_str,
 )
 from .metabelian import (

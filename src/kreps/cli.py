@@ -221,7 +221,7 @@ def surface_report(a: BraidWord, b: BraidWord, rmax: int | None) -> dict[str, An
             "strands": a.strands,
         },
         "determinant": str(det),
-        "alexander_poly": poly_str(poly) if not poly.is_zero else "0",
+        "alexander_poly": poly_str(poly),
         "rep_count": rep_count,
         "classes": classes,
         "colorings": [],

@@ -2,11 +2,12 @@
 
 Polynomials are sparse maps from integer exponents to arbitrary-precision
 integer coefficients; no floats or rationals appear anywhere.  Matrices
-over the ring are thin immutable grids used for Alexander-type matrices,
-with determinants computed by signed subset expansion (exact, no division).
+over the ring are thin immutable grids used for Alexander-type matrices.
+The dense Z[t] helpers serve the elimination of
+``presentations.alexander_poly``; the gcd and the determinants by
+subset expansion are oracles (``kreps.oracles``).
 """
 
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -203,7 +204,7 @@ def normalize_unit(f: LaurentPoly) -> LaurentPoly:
     return g
 
 
-# -- dense Z[t] helpers (for the gcd and oracles.exact_div) --------------
+# -- dense Z[t] helpers (for alexander_poly and the oracles) ---------------
 
 
 def _dense(f: LaurentPoly) -> tuple[int, list[int]]:
@@ -229,56 +230,6 @@ def _content(cs: Sequence[int]) -> int:
     for c in cs:
         g = gcd(g, c)
     return g
-
-
-def _primitive(cs: Sequence[int]) -> list[int]:
-    g = _content(cs)
-    if g <= 1:
-        return _trim(list(cs))
-    return _trim([c // g for c in cs])
-
-
-def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Pseudo-remainder of f by g over Z[t]: a power of lc(g) times f, mod g.
-
-    Only used up to content, so the extra unit-content factors are harmless.
-    """
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(r) - 1 >= dg and r:
-        lr = r[-1]
-        shift = len(r) - 1 - dg
-        r = [lg * c for c in r]
-        for i, gc in enumerate(g):
-            r[shift + i] -= lr * gc
-        _trim(r)
-    return r
-
-
-def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """gcd in Z[t, 1/t] up to unit, returned in unit-normal form.
-
-    Both arguments are first shifted into Z[t] (units are absorbed), then
-    reduced by content/primitive-part splitting with pseudo-remainders.
-    gcd(0, 0) = 0.
-    """
-    if f.is_zero and g.is_zero:
-        return LaurentPoly.zero()
-    if f.is_zero:
-        return normalize_unit(g)
-    if g.is_zero:
-        return normalize_unit(f)
-    _, fc = _dense(f)
-    _, gc = _dense(g)
-    c = gcd(_content(fc), _content(gc))
-    a, b = _primitive(fc), _primitive(gc)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _prem(a, b)
-        a, b = b, _primitive(r)
-    return normalize_unit(_from_dense(0, [c * x for x in a]))
 
 
 # -- matrices over the Laurent ring ---------------------------------------
@@ -351,54 +302,3 @@ class LaurentMatrix(Frozen):
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
         grid = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
         return LaurentMatrix(len(row_idx), len(col_idx), grid)
-
-
-def laurent_det(m: LaurentMatrix) -> LaurentPoly:
-    """Determinant by signed column-subset expansion (division-free)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return LaurentPoly.one()
-    states: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
-    for row in m.entries:
-        picks = [(j + 1, 1 << j, entry) for j, entry in enumerate(row) if entry]
-        nxt: dict[int, LaurentPoly] = {}
-        for mask, acc in states.items():
-            for above, bit, entry in picks:
-                if mask & bit:
-                    continue
-                contrib = acc * entry
-                key = mask | bit
-                prev = nxt.get(key)
-                # parity of inversions introduced by picking this column now
-                if (mask >> above).bit_count() % 2:
-                    nxt[key] = -contrib if prev is None else prev - contrib
-                else:
-                    nxt[key] = contrib if prev is None else prev + contrib
-        states = nxt
-        if not states:
-            return LaurentPoly.zero()
-    return states.get((1 << n) - 1, LaurentPoly.zero())
-
-
-def laurent_minor_gcd(m: LaurentMatrix, size: int) -> LaurentPoly:
-    """Normalized gcd of all size x size minors; 0 if all vanish, 1 for size 0.
-
-    Stops early once the running gcd is a unit.
-    """
-    if size == 0:
-        return LaurentPoly.one()
-    if size > m.rows or size > m.cols:
-        return LaurentPoly.zero()
-    one = LaurentPoly.one()
-    g = LaurentPoly.zero()
-    for rsel in combinations(range(m.rows), size):
-        for csel in combinations(range(m.cols), size):
-            d = laurent_det(m.submatrix(rsel, csel))
-            if d.is_zero:
-                continue
-            g = poly_gcd(g, d)
-            if g == one:
-                return g
-    return g

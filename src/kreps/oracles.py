@@ -25,7 +25,12 @@ routes here reach the same numbers another way:
   (``scan_rep_classes``), for the choice of representatives;
 * exact division in the Laurent ring (``exact_div``), for the Burau
   route's division by 1 - t^n, which production does as one integer
-  ``divmod``.
+  ``divmod``;
+* the gcd of all k x k minors over the Laurent ring
+  (``laurent_minor_gcd``), each minor a signed subset expansion
+  (``laurent_det``) folded in by pseudo-remainders (``poly_gcd``), for the
+  Alexander polynomials, which production reads from one minor of a knot
+  and from one elimination of a surface's matrix.
 
 ``braid_mismatch``, ``long_word_mismatch``, ``matrix_mismatch``,
 ``class_mismatch`` and ``pair_mismatch`` each run every check on one
@@ -86,7 +91,7 @@ from .intlinalg import (
     solution_columns_mod,
     solution_count_mod,
 )
-from .laurent import LaurentMatrix, LaurentPoly, _dense, _from_dense, _trim, laurent_minor_gcd, poly_str
+from .laurent import LaurentMatrix, LaurentPoly, _content, _dense, _from_dense, _trim, normalize_unit, poly_str
 from .metabelian import BinaryDihedralElt, RepClass, bd_inv, bd_mul, enumerate_rep_classes
 from .presentations import alexander_matrix, alexander_poly, burau_alexander, coloring_form, knot_poly
 
@@ -437,7 +442,7 @@ def diagram_census_brute(d: ClosureDiagram, r: int) -> ColoringCensus:
     return ColoringCensus(modulus=r, total=total, nondegenerate=nondeg, condition_o=cond)
 
 
-# -- Laurent division ----------------------------------------------------------------
+# -- Laurent division and the all-minors gcd ------------------------------------------
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -464,6 +469,107 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if _trim(r):
         raise ValueError("non-exact polynomial division")
     return _from_dense(fo - go, q)
+
+
+def _primitive(cs: Sequence[int]) -> list[int]:
+    g = _content(cs)
+    if g <= 1:
+        return _trim(list(cs))
+    return _trim([c // g for c in cs])
+
+
+def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Pseudo-remainder of f by g over Z[t]: a power of lc(g) times f, mod g.
+
+    Only used up to content, so the extra unit-content factors are harmless.
+    """
+    r = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(r) - 1 >= dg and r:
+        lr = r[-1]
+        shift = len(r) - 1 - dg
+        r = [lg * c for c in r]
+        for i, gc in enumerate(g):
+            r[shift + i] -= lr * gc
+        _trim(r)
+    return r
+
+
+def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """gcd in Z[t, 1/t] up to unit, returned in unit-normal form.
+
+    Both arguments are first shifted into Z[t] (units are absorbed), then
+    reduced by content/primitive-part splitting with pseudo-remainders.
+    gcd(0, 0) = 0.
+    """
+    if f.is_zero and g.is_zero:
+        return LaurentPoly.zero()
+    if f.is_zero:
+        return normalize_unit(g)
+    if g.is_zero:
+        return normalize_unit(f)
+    _, fc = _dense(f)
+    _, gc = _dense(g)
+    c = gcd(_content(fc), _content(gc))
+    a, b = _primitive(fc), _primitive(gc)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _prem(a, b)
+        a, b = b, _primitive(r)
+    return normalize_unit(_from_dense(0, [c * x for x in a]))
+
+
+def laurent_det(m: LaurentMatrix) -> LaurentPoly:
+    """Determinant by signed column-subset expansion (division-free)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
+    n = m.rows
+    if n == 0:
+        return LaurentPoly.one()
+    states: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
+    for row in m.entries:
+        picks = [(j + 1, 1 << j, entry) for j, entry in enumerate(row) if entry]
+        nxt: dict[int, LaurentPoly] = {}
+        for mask, acc in states.items():
+            for above, bit, entry in picks:
+                if mask & bit:
+                    continue
+                contrib = acc * entry
+                key = mask | bit
+                prev = nxt.get(key)
+                # parity of inversions introduced by picking this column now
+                if (mask >> above).bit_count() % 2:
+                    nxt[key] = -contrib if prev is None else prev - contrib
+                else:
+                    nxt[key] = contrib if prev is None else prev + contrib
+        states = nxt
+        if not states:
+            return LaurentPoly.zero()
+    return states.get((1 << n) - 1, LaurentPoly.zero())
+
+
+def laurent_minor_gcd(m: LaurentMatrix, size: int) -> LaurentPoly:
+    """Normalized gcd of all size x size minors; 0 if all vanish, 1 for size 0.
+
+    Stops early once the running gcd is a unit.
+    """
+    if size == 0:
+        return LaurentPoly.one()
+    if size > m.rows or size > m.cols:
+        return LaurentPoly.zero()
+    one = LaurentPoly.one()
+    g = LaurentPoly.zero()
+    for rsel in combinations(range(m.rows), size):
+        for csel in combinations(range(m.cols), size):
+            d = laurent_det(m.submatrix(rsel, csel))
+            if d.is_zero:
+                continue
+            g = poly_gcd(g, d)
+            if g == one:
+                return g
+    return g
 
 
 # -- divisors and representations -------------------------------------------------

@@ -14,7 +14,10 @@ Matrix conventions:
   verify`` check it against.
 * A knot's polynomial is one minor (``knot_poly``), checked by the
   reduced Burau route (``burau_alexander``); a surface's is the gcd of
-  the minors that avoid the base column (``alexander_poly``).
+  the minors that avoid the base column, read from one fraction-free
+  elimination of those columns over Z[t] (``alexander_poly``).  The gcd
+  of every minor by subset expansion (``oracles.laurent_minor_gcd``) is
+  the oracle for both.
 * Reports read everything at t = -1 from one reduction, ``coloring_form``.
 
 ``alexander_matrix``, ``knot_poly`` and ``burau_alexander`` run the Burau
@@ -42,12 +45,12 @@ them at t = -1:
   route divides it by 1 - t^n as one integer divmod at that width.
 """
 
-from math import prod
+from math import gcd, prod
 from typing import Sequence
 
 from .braids import BraidWord, closure_component_count
-from .intlinalg import IntMatrix, SNFResult, _bareiss, smith_normal_form
-from .laurent import LaurentMatrix, LaurentPoly, laurent_minor_gcd
+from .intlinalg import IntMatrix, SNFResult, _bareiss, determinantal_divisor, smith_normal_form
+from .laurent import LaurentMatrix, LaurentPoly, _content, _dense, _from_dense, _trim, normalize_unit
 
 # -- packed-integer kernel ----------------------------------------------------
 
@@ -329,18 +332,75 @@ def _knot_poly(a: BraidWord) -> LaurentPoly:
     return _unit_normal(det, k)
 
 
+def _reduce(row: list[list[int]], pivot: list[list[int]], j: int) -> list[list[int]]:
+    """a row - b t^s pivot, which cancels the top term of row[j], divided
+    by its integer content and by the largest power of t that divides it;
+    pivot[j] is nonzero and of no higher degree than row[j]."""
+    top, lead = row[j][-1], pivot[j][-1]
+    g = gcd(top, lead)
+    a, b = lead // g, top // g
+    s = len(row[j]) - len(pivot[j])
+    out = []
+    for x, y in zip(row, pivot):
+        z = [a * c for c in x] + [0] * (len(y) + s - len(x))
+        for e, c in enumerate(y, s):
+            z[e] -= b * c
+        out.append(_trim(z))
+    g = _content([c for z in out for c in z])
+    low = min((next(e for e, c in enumerate(z) if c) for z in out if z), default=0)
+    return [[c // g for c in z[low:]] for z in out]
+
+
 def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
     """Normalized gcd of all (cols-1)-minors of a matrix with m >= 1 columns:
     1 if cols == 1, 0 when there are too few rows or every minor vanishes.
+    ValueError when the gcd is nonzero and the base-free M(1) has a
+    maximal-minor gcd other than 1, which a knot or a connected surface
+    never gives.
 
-    The rows of M sum to zero, so each minor equals, up to sign, one on the
-    same rows that avoids the base (last) column; only those are taken, one
-    per row subset, with ``laurent_minor_gcd``'s early exit at a unit.
+    * The rows of M sum to zero, so each minor equals, up to sign, one on
+      the same rows that avoids the base (last) column; only those count.
+    * The rows, as Z[t] coefficient lists with their lowest power of t
+      shifted to t^0, are eliminated column by column: the row of least
+      degree in the column is the pivot, every other row nonzero there is
+      reduced against it (``_reduce``), and the pivot is chosen again
+      until one row is left.  Each step is invertible over Q[t, 1/t], so
+      the gcd of the maximal minors over Q[t, 1/t] is the product of the
+      pivots (the Hermite form; Kannan and Bachem, SIAM J. Comput. 8,
+      1979), and 0 if a column finds no row.
+    * The gcd over Z[t, 1/t] evaluates at t = 1 to a divisor of every
+      maximal minor of the base-free M(1).  When their gcd is 1, the gcd
+      has content 1, so by Gauss's lemma it is the primitive part of the
+      product.  For a knot or a connected surface M(1) stacks the rows
+      e_i - e_pi(i) of a connected strand graph, and some such minor is +-1.
     """
     if m.cols < 1:
         raise ValueError("the matrix needs at least one column")
-    base_free = range(m.cols - 1)
-    return laurent_minor_gcd(m.submatrix(range(m.rows), base_free), m.cols - 1)
+    n = m.cols - 1
+    rows = []
+    for entries in m.entries:
+        dense = [_dense(p) for p in entries[:n]]
+        low = min((e for e, cs in dense if cs), default=None)
+        if low is not None:
+            rows.append([[0] * (e - low) + cs if cs else cs for e, cs in dense])
+    poly = LaurentPoly.one()
+    for j in range(n):
+        live = [row for row in rows if row[j]]
+        rows = [row for row in rows if not row[j]]
+        if not live:
+            return LaurentPoly.zero()
+        while len(live) > 1:
+            pivot = min(live, key=lambda row: len(row[j]))
+            reduced = [_reduce(row, pivot, j) for row in live if row is not pivot]
+            live = [pivot, *(row for row in reduced if row[j])]
+            rows.extend(row for row in reduced if not row[j])
+        g = _content(live[0][j])
+        poly = poly * _from_dense(0, [c // g for c in live[0][j]])
+    at_one = IntMatrix.from_rows([row[:n] for row in m.evaluate(1)], cols=n)
+    divisor = determinantal_divisor(smith_normal_form(at_one), n)
+    if divisor != 1:
+        raise ValueError(f"the base-free matrix at t = 1 has maximal-minor gcd {divisor}, not 1")
+    return normalize_unit(poly)
 
 
 def _jacobian_at_minus_one(word: BraidWord) -> list[list[int]]:

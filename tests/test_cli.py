@@ -244,11 +244,11 @@ def test_reports_reduce_each_matrix_once(capsys, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    # the figure-eight knot has one matrix; the family surface has its own
-    # and its base knot's
+    # the figure-eight knot has one matrix; the family surface has its own,
+    # its base knot's and its polynomial's content check at t = 1
     for argv, expected_calls in (
         (("knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json"), 1),
-        (("family", "3", "3", "1"), 2),
+        (("family", "3", "3", "1"), 3),
     ):
         code, expected, _ = run(capsys, *argv)
         assert code == EXIT_OK
@@ -269,7 +269,7 @@ def test_knot_report_takes_one_minor(capsys, monkeypatch):
     calls = {"laurent_det": 0, "poly_gcd": 0}
 
     def counter(name):
-        original = getattr(laurent, name)
+        original = getattr(oracles, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
@@ -289,6 +289,19 @@ def test_knot_report_takes_one_minor(capsys, monkeypatch):
     assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
     # the minor and the Burau determinant are integer determinants
     assert calls == {"laurent_det": 0, "poly_gcd": 0}
+
+
+def test_surface_report_takes_no_minor(capsys, monkeypatch):
+    import kreps.oracles as oracles
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a surface report expanded a minor")
+
+    # the polynomial is one elimination of the base-free columns
+    for original in (oracles.laurent_det, oracles.poly_gcd):
+        patch_kreps_bindings(monkeypatch, original, refuse)
+    report = run_json(capsys, "family", "8", "3", "1", "--json")
+    assert report["family"]["passed"] is True
 
 
 def test_parser_is_reused_across_calls(capsys):

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreps.laurent import (
-    LaurentMatrix,
-    LaurentPoly,
-    laurent_det,
-    laurent_minor_gcd,
-    normalize_unit,
-    poly_gcd,
-    poly_str,
-)
-from kreps.oracles import exact_div
+from kreps.laurent import LaurentMatrix, LaurentPoly, normalize_unit, poly_str
+from kreps.oracles import exact_div, laurent_det, laurent_minor_gcd, poly_gcd
 
 
 def random_poly(rng, max_terms=4, max_exp=4, max_coeff=6):

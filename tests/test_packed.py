@@ -16,14 +16,15 @@ from kreps.braids import (
     parse_braid,
 )
 from kreps.intlinalg import IntMatrix, smith_normal_form
-from kreps.laurent import (
-    LaurentMatrix,
-    LaurentPoly,
+from kreps.laurent import LaurentMatrix, LaurentPoly, normalize_unit
+from kreps.oracles import (
+    LONG_WORDS,
+    enumerate_solutions_mod,
+    exact_div,
     laurent_det,
     laurent_minor_gcd,
-    normalize_unit,
+    random_knot_braid,
 )
-from kreps.oracles import LONG_WORDS, enumerate_solutions_mod, exact_div, random_knot_braid
 from kreps.presentations import (
     _burau_columns,
     _jacobian_rows,

@@ -2,20 +2,14 @@ import random
 
 import pytest
 
-from kreps.braids import BraidWord, full_twist, parse_braid
+from kreps.braids import BraidWord, full_twist, parse_braid, prime_twist_family
 from kreps.intlinalg import (
     IntMatrix,
     determinantal_divisor,
     smith_normal_form,
     solution_count_mod,
 )
-from kreps.laurent import (
-    LaurentMatrix,
-    LaurentPoly,
-    laurent_det,
-    laurent_minor_gcd,
-    normalize_unit,
-)
+from kreps.laurent import LaurentMatrix, LaurentPoly, normalize_unit
 from kreps.oracles import (
     ClosureDiagram,
     Crossing,
@@ -28,6 +22,8 @@ from kreps.oracles import (
     exact_div,
     fox_derivative_abelianized,
     fox_matrix,
+    laurent_det,
+    laurent_minor_gcd,
     random_knot_braid,
     torus_covering_presentation,
 )
@@ -239,12 +235,16 @@ def test_knot_minor_and_base_column_gcd_match_all_minors():
         expected = laurent_minor_gcd(m, m.cols - 1)
         assert knot_poly(a) == expected, f"braid {a}"
         assert alexander_poly(m) == expected, f"braid {a}"
+    # family members, then random knots with central and non-central partners
+    pairs = [prime_twist_family(n, p, [1] * (n - 1)) for n, p in ((5, 3), (5, 5), (6, 3))]
     for _ in range(40):
         a = random_knot_braid(rng, 5, 6)
         twist = full_twist(a.strands)
-        for b in (twist ** -1, twist, twist**2, a**2, BraidWord.identity(a.strands)):
-            m = alexander_matrix(a, b)
-            assert alexander_poly(m) == laurent_minor_gcd(m, m.cols - 1), f"pair {a} / {b}"
+        partners = (twist**-1, twist, twist**2, a**2, a**3, twist**2 * a, twist**-2 * a**2)
+        pairs += [(a, b) for b in (*partners, BraidWord.identity(a.strands))]
+    for a, b in pairs:
+        m = alexander_matrix(a, b)
+        assert alexander_poly(m) == laurent_minor_gcd(m, m.cols - 1), f"pair {a} / {b}"
 
 
 def test_knot_poly_edge_cases():
@@ -270,6 +270,12 @@ def test_ideal_data_edge_cases():
     assert (alexander_poly(too_few), matrix_determinant(too_few)) == (zero, 0)
     single = LaurentMatrix(0, 1, ())
     assert (alexander_poly(single), matrix_determinant(single)) == (LaurentPoly.one(), 1)
+    # the elimination finds the gcd up to its content, so it refuses a
+    # matrix whose base-free part at t = 1 has minors with gcd 2
+    content_two = LaurentMatrix.from_rows([[LaurentPoly.term(2), LaurentPoly.term(-2)]])
+    with pytest.raises(ValueError):
+        alexander_poly(content_two)
+    assert laurent_minor_gcd(content_two, 1) == LaurentPoly.term(2)
     with pytest.raises(ValueError):
         alexander_poly(LaurentMatrix(0, 0, ()))
     with pytest.raises(ValueError):
