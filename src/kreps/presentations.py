@@ -25,24 +25,28 @@ rules on packed integers (Kronecker substitution; Harvey, J. Symbolic
 Comput. 44, 2009), not on Laurent polynomials, and ``coloring_form`` runs
 them at t = -1:
 
-* A vector of Laurent polynomials t^-p (f_1, ..., f_m), each f_j in Z[t],
-  is kept as the integers f_j(T) at T = 2^k, with its own power p, so
-  that t^-1 never needs a division, and a bound b on the sum of the l1
-  norms of the f_j.  Each letter is then a few integer additions and
-  shifts per entry.
-* Every coefficient of every f_j is below b in absolute value.  While b
+* A matrix of Laurent polynomials t^-N f_ij, each f_ij in Z[t], is kept
+  as the integers f_ij(T) at T = 2^k, with one power N for the whole
+  matrix, the number of negative letters of the word, and for each row or
+  column a bound b on the sum of the l1 norms of its f_ij.  The walk
+  starts from T^N times the identity, so that every t^-1 of a rule is an
+  exact right shift by k bits, and each letter is a few integer additions
+  and shifts per entry.
+* Every coefficient of every f_ij is below b in absolute value.  While b
   < 2^(k-1), each value has one expansion in balanced base-T digits,
-  which gives the f_j back exactly.
+  which gives the f_ij back exactly.
 * The bounds follow the letter rules on absolute values, and the rules
   keep them below 2^(k-2).  When a letter would break that, every vector
   is unpacked, its bound is reset to its actual norm, and all are
   repacked with k the bit length of the largest norm plus a fixed
   headroom.  Without the re-sizing k would have to grow like L log2(3)
   bits for a word of L letters, and every value with it.
-* A determinant of packed rows is one integer determinant, with the rows
-  first repacked if needed so that T/4 exceeds the product of their
-  bounds, which bounds every coefficient of the determinant.  The Burau
-  route divides it by 1 - t^n as one integer divmod at that width.
+* A determinant of packed rows is one integer determinant, with each row
+  first divided by the largest power of T that divides it, which changes
+  the determinant by a power of t alone, and the rows repacked if needed
+  so that T/4 exceeds the product of their bounds, which bounds every
+  coefficient of the determinant.  The Burau route divides it by 1 - t^n
+  as one integer divmod at that width.
 """
 
 from math import gcd, prod
@@ -93,33 +97,52 @@ def _to_poly(v: int, power: int, k: int) -> LaurentPoly:
     return LaurentPoly({e - power: c for e, c in enumerate(_unpack(v, k))})
 
 
+def _zero_digits(values: list[int], k: int) -> int:
+    """The largest e such that T^e, T = 2^k, divides every value packed at
+    2^k, or 0 if all are zero.  A value's lowest set bit lies in its lowest
+    nonzero balanced digit, so e is read from the OR of the lowest set bits."""
+    low = 0
+    for v in values:
+        low |= v & -v
+    return ((low & -low).bit_length() - 1) // k if low else 0
+
+
 def _rewiden(vectors: list[list[int]], k: int) -> tuple[int, list[list[int]], list[int]]:
     """Unpack vectors packed at 2^k and repack them with _HEADROOM bits
-    above the largest l1 norm: (new k, vectors, norms)."""
-    polys = [[_unpack(v, k) for v in vec] for vec in vectors]
+    above the largest l1 norm: (new k, vectors, norms).  Every digit keeps
+    its position; the e digits below the lowest nonzero one of all values
+    are shifted out before the unpacking and back in after it."""
+    e = _zero_digits([v for vec in vectors for v in vec], k)
+    polys = [[_unpack(v >> e * k, k) for v in vec] for vec in vectors]
     norms = [sum(sum(map(abs, cs)) for cs in vec) for vec in polys]
     k = _width(max(norms)) + _HEADROOM
-    return k, [[_pack(cs, k) for cs in vec] for vec in polys], norms
+    return k, [[_pack(cs, k) << e * k for cs in vec] for vec in polys], norms
 
 
-def _identity(n: int) -> tuple[int, list[list[int]], list[int], list[int]]:
-    """The rows of the n x n identity, packed: (k, values, powers, bounds)."""
+def _identity(n: int, power: int) -> tuple[int, list[list[int]], int, list[int]]:
+    """The rows of T^power times the n x n identity, packed: (k, values,
+    power, bounds)."""
+    k = _width(1) + _HEADROOM
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = 1
-    return _width(1) + _HEADROOM, rows, [0] * n, [1] * n
+        rows[i][i] = 1 << k * power
+    return k, rows, power, [1] * n
 
 
-def _jacobian_rows(word: BraidWord) -> tuple[int, list[list[int]], list[int], list[int]]:
-    """Rows of J(word), packed: (k, values, powers, bounds).  The letter
-    rules of ``alexander_matrix`` on rows aligned to one power of t:
+def _jacobian_rows(word: BraidWord) -> tuple[int, list[list[int]], int, list[int]]:
+    """Rows of J(word), packed: (k, values, N, bounds), every row carrying
+    t^-N for N the number of negative letters.  The letter rules of
+    ``alexander_matrix``, with t^-1 an exact right shift:
 
         +i:  r_i <- r_i + T (r_{i+1} - r_i),  r_{i+1} <- r_i
-        -i:  r_i <- r_{i+1},  r_{i+1} <- r_i + (T - 1) r_{i+1}, power + 1
+        -i:  r_i <- r_{i+1},  r_{i+1} <- r_{i+1} + (r_i - r_{i+1}) / T
 
     with the bounds (2 b_i + b_{i+1}, b_i) and (b_{i+1}, b_i + 2 b_{i+1}).
+    Each value is T^N times its Laurent entry, whose least exponent is at
+    least -m after m negative letters, so before the next one every value
+    is a multiple of T^(N-m) with N - m >= 1 and the division is exact.
     """
-    k, rows, powers, bounds = _identity(word.strands)
+    k, rows, power, bounds = _identity(word.strands, sum(x < 0 for x in word.letters))
     limit = 1 << (k - 2)
     for letter in word.letters:
         i = abs(letter) - 1
@@ -128,37 +151,30 @@ def _jacobian_rows(word: BraidWord) -> tuple[int, list[list[int]], list[int], li
             k, rows, bounds = _rewiden(rows, k)
             limit = 1 << (k - 2)
         top, bottom = rows[i], rows[j]
-        p, q = powers[i], powers[j]
-        if p < q:
-            top = [x << (q - p) * k for x in top]
-            p = q
-        elif q < p:
-            bottom = [y << (p - q) * k for y in bottom]
         b, c = bounds[i], bounds[j]
         if letter > 0:
-            rows[i], rows[j] = [x + ((y - x) << k) for x, y in zip(top, bottom)], rows[i]
-            powers[i], powers[j] = p, powers[i]
+            rows[i], rows[j] = [x + ((y - x) << k) for x, y in zip(top, bottom)], top
             bounds[i], bounds[j] = 2 * b + c, b
         else:
-            rows[i], rows[j] = rows[j], [x + (y << k) - y for x, y in zip(top, bottom)]
-            powers[i], powers[j] = powers[j], p + 1
+            rows[i], rows[j] = bottom, [y + ((x - y) >> k) for x, y in zip(top, bottom)]
             bounds[i], bounds[j] = c, b + 2 * c
-    return k, rows, powers, bounds
+    return k, rows, power, bounds
 
 
-def _burau_columns(word: BraidWord) -> tuple[int, list[list[int]], list[int], list[int]]:
-    """Columns of the reduced Burau matrix of word, packed: (k, values,
-    powers, bounds).  The letter rules of ``burau_alexander`` on columns
-    aligned to one power of t, with c_k <- c_{k-1} + c_k + c_{k+1} on the
-    bounds (columns 0 and n are zero):
+def _burau_columns(word: BraidWord) -> tuple[int, list[list[int]], int, list[int]]:
+    """Columns of the reduced Burau matrix of word, packed: (k, values, N,
+    bounds), every column carrying t^-N for N the number of negative
+    letters.  The letter rules of ``burau_alexander``, with t^-1 an exact
+    right shift as in ``_jacobian_rows`` and c_k <- c_{k-1} + c_k + c_{k+1}
+    on the bounds (columns 0 and n are zero):
 
         +k:  c_k <- T (c_{k-1} - c_k) + c_{k+1}
-        -k:  c_k <- T c_{k-1} - c_k + c_{k+1}, power + 1
+        -k:  c_k <- c_{k-1} + (c_{k+1} - c_k) / T
     """
     size = word.strands - 1
-    k, cols, powers, bounds = _identity(size)
+    k, cols, power, bounds = _identity(size, sum(x < 0 for x in word.letters))
     zero = [0] * size
-    cols, powers, bounds = [zero, *cols, zero], [0, *powers, 0], [0, *bounds, 0]
+    cols, bounds = [zero, *cols, zero], [0, *bounds, 0]
     limit = 1 << (k - 2)
     for letter in word.letters:
         c = abs(letter)
@@ -168,33 +184,34 @@ def _burau_columns(word: BraidWord) -> tuple[int, list[list[int]], list[int], li
             limit = 1 << (k - 2)
             bound = bounds[c - 1] + bounds[c] + bounds[c + 1]
         lower, mid, upper = cols[c - 1], cols[c], cols[c + 1]
-        p = max(powers[c - 1], powers[c], powers[c + 1])
-        # the zero columns 0 and n keep power 0 and need no alignment
-        if powers[c - 1] < p and c > 1:
-            lower = [x << (p - powers[c - 1]) * k for x in lower]
-        if powers[c] < p:
-            mid = [x << (p - powers[c]) * k for x in mid]
-        if powers[c + 1] < p and c < size:
-            upper = [x << (p - powers[c + 1]) * k for x in upper]
         if letter > 0:
             cols[c] = [((y - x) << k) + z for x, y, z in zip(mid, lower, upper)]
-            powers[c] = p
         else:
-            cols[c] = [(y << k) - x + z for x, y, z in zip(mid, lower, upper)]
-            powers[c] = p + 1
+            cols[c] = [y + ((z - x) >> k) for x, y, z in zip(mid, lower, upper)]
         bounds[c] = bound
-    return k, cols[1:-1], powers[1:-1], bounds[1:-1]
+    return k, cols[1:-1], power, bounds[1:-1]
 
 
 def _minus_identity(
-    packed: tuple[int, list[list[int]], list[int], list[int]],
-) -> tuple[int, list[list[int]], list[int], list[int]]:
+    packed: tuple[int, list[list[int]], int, list[int]],
+) -> tuple[int, list[list[int]], int, list[int]]:
     """Vector i of A - I from vector i of A, in place, packed: (k, values,
-    powers, bounds); det(A - I) = +-det(I - A), and I - A is its negative."""
-    k, vectors, powers, bounds = packed
+    power, bounds); det(A - I) = +-det(I - A), and I - A is its negative."""
+    k, vectors, power, bounds = packed
+    unit = 1 << k * power
     for i, vec in enumerate(vectors):
-        vec[i] -= 1 << k * powers[i]
-    return k, vectors, powers, [b + 1 for b in bounds]
+        vec[i] -= unit
+    return k, vectors, power, [b + 1 for b in bounds]
+
+
+def _lowest_terms(vectors: list[list[int]], k: int) -> list[list[int]]:
+    """Each vector packed at 2^k divided by the largest power of t that
+    divides all its values; a determinant changes by a power of t alone."""
+    out = []
+    for vec in vectors:
+        shift = _zero_digits(vec, k) * k
+        out.append([v >> shift for v in vec])
+    return out
 
 
 def _packed_int_det(rows: list[list[int]], bounds: Sequence[int], k: int) -> tuple[int, int]:
@@ -205,7 +222,7 @@ def _packed_int_det(rows: list[list[int]], bounds: Sequence[int], k: int) -> tup
     the l1 norm of the determinant, a signed sum of products with one entry
     from each row, is at most prod(bounds); the rows are first repacked
     to k' = ``_width(prod(bounds))`` when k is narrower, which keeps every
-    coefficient below 2^(k'-2).  ``int_det``'s elimination overwrites rows."""
+    coefficient below 2^(k'-2).  ``_bareiss`` overwrites the rows."""
     wide = _width(prod(bounds))
     if wide > k:
         rows = [[_pack(_unpack(v, k), wide) for v in row] for row in rows]
@@ -239,10 +256,12 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
         +k:  col_k <- -t col_k + t col_{k-1} + col_{k+1}
         -k:  col_k <- -t^-1 col_k + col_{k-1} + t^-1 col_{k+1}
 
-    The columns are packed (``_burau_columns``), det(B - I) = +-det(I - B)
-    = t^-s c(t), s = sum(powers), is one integer determinant of them, c(T),
-    and the division is one integer divmod at T = 2^k, unpacked once into
-    its unit-normal form (``_unit_normal``, which drops the sign):
+    The columns are packed (``_burau_columns``) and divided by their
+    largest powers of t (``_lowest_terms``), so det(B - I) = +-det(I - B)
+    = t^-s c(t) for some s, c(T) is one integer determinant of them, and
+    the division is one integer divmod at T = 2^k, unpacked once into its
+    unit-normal form (``_unit_normal``, which drops the sign and the power
+    of t):
 
     * Let P = prod(bounds).  ``_packed_int_det`` gives ||c||_1 <= P and a
       width with P < 2^(k-2), so f = c (1 - t) has ||f||_1 <= 2P < 2^(k-1).
@@ -267,7 +286,7 @@ def _burau_alexander(a: BraidWord) -> LaurentPoly:
     if n == 1:
         return LaurentPoly.one()
     k, cols, _, bounds = _minus_identity(_burau_columns(a))
-    char, k = _packed_int_det(cols, bounds, k)
+    char, k = _packed_int_det(_lowest_terms(cols, k), bounds, k)
     quotient, remainder = divmod(char - (char << k), 1 - (1 << k * n))
     if remainder:
         raise ValueError("non-exact polynomial division")
@@ -291,8 +310,8 @@ def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
         raise ValueError("one or more braids on the same number of strands are required")
     rows = []
     for word in braids:
-        k, vectors, powers, _ = _minus_identity(_jacobian_rows(word))
-        rows.extend([_to_poly(-v, p, k) for v in vec] for vec, p in zip(vectors, powers) if any(vec))
+        k, vectors, power, _ = _minus_identity(_jacobian_rows(word))
+        rows.extend([_to_poly(-v, power, k) for v in vec] for vec in vectors if any(vec))
     return LaurentMatrix.from_rows(rows, cols=braids[0].strands)
 
 
@@ -312,8 +331,9 @@ def knot_poly(a: BraidWord) -> LaurentPoly:
 
     Hence every minor that avoids the base column is an associate of Delta.
     The rows are packed (``_jacobian_rows``), and the minor of J - I, which
-    is +-1 times that of I - J, is one integer determinant of them,
-    unpacked once into its unit-normal form.
+    is +-1 times that of I - J, is one integer determinant of them, each
+    divided first by its largest power of t (``_lowest_terms``), unpacked
+    once into its unit-normal form.
     """
     if closure_component_count(a) != 1:
         raise ValueError("the closure is not a knot")
@@ -325,10 +345,10 @@ def _knot_poly(a: BraidWord) -> LaurentPoly:
     n = a.strands
     if n == 1:
         return LaurentPoly.one()
-    k, rows, powers, bounds = _jacobian_rows(a)
+    k, rows, power, bounds = _jacobian_rows(a)
     minor = [row[:-1] for row in rows[: n - 1]]
-    k, minor, _, bounds = _minus_identity((k, minor, powers[: n - 1], bounds[: n - 1]))
-    det, k = _packed_int_det(minor, bounds, k)
+    k, minor, _, bounds = _minus_identity((k, minor, power, bounds[: n - 1]))
+    det, k = _packed_int_det(_lowest_terms(minor, k), bounds, k)
     return _unit_normal(det, k)
 
 

@@ -47,12 +47,12 @@ one = LaurentPoly.one()
 
 
 def unpacked(packed):
-    """The vectors of a packed (k, values, powers, bounds) as Laurent
+    """The vectors of a packed (k, values, power, bounds) as Laurent
     polynomials, after checking that each bound covers its vector's norm and
     stays within 2^(k-2), which the letter rules keep."""
-    k, vectors, powers, bounds = packed
+    k, vectors, power, bounds = packed
     out = []
-    for vec, power, bound in zip(vectors, powers, bounds):
+    for vec, bound in zip(vectors, bounds):
         polys = [_to_poly(v, power, k) for v in vec]
         assert sum(abs(c) for f in polys for c in f.coeffs.values()) <= bound <= 1 << (k - 2)
         out.append(polys)
@@ -286,9 +286,10 @@ def long_knot_words():
     """Knot words that re-size the packed rules at the default headroom (on
     two strands the one reduced Burau entry is a monomial, which never does)."""
     rng = random.Random(44)
-    out = [parse_braid("1^401", 2), parse_braid(" ".join(["1 -2"] * 100), 3)]
+    out = [parse_braid("1^401", 2), parse_braid("-1^401", 2), parse_braid(" ".join(["1 -2"] * 100), 3)]
     out += [random_knot_word(rng, 3, 150) for _ in range(4)]
     out += [random_knot_word(rng, 6, 201) for _ in range(2)]
+    out += [random_knot_word(rng, 4, 201)]
     return out
 
 
