@@ -15,7 +15,6 @@ Conventions, fixed once for the whole package:
   slot; slots are numbered 0..n-1 internally.
 """
 
-import re
 from typing import Sequence
 
 from ._frozen import Frozen
@@ -63,7 +62,6 @@ class BraidWord(Frozen):
         return " ".join(map(str, self.letters)) if self.letters else "(empty)"
 
 
-_TOKEN = re.compile(r"([+-]?\d+)(?:\^(\d+))?")
 MAX_BRAID_LETTERS = 10_000
 
 
@@ -81,13 +79,14 @@ def parse_braid(text: str, strands: int) -> BraidWord:
         raise ValueError(f"a braid may have at most {MAX_BRAID_LETTERS + 1} strands")
     letters: list[int] = []
     for token in text.split():
-        # str.isdecimal accepts exactly the Unicode digit strings that \d+ matches
-        if token.isdecimal() or (token[0] in "+-" and token[1:].isdecimal()):
-            letter, exp = int(token), 1
-        elif match := _TOKEN.fullmatch(token):
-            letter, exp = int(match.group(1)), int(match.group(2) or 1)
-        else:
+        # an optional sign and a decimal string, then optionally ^ and a decimal
+        # string; str.isdecimal refuses the "_", "²" and signs that int() or
+        # str.isdigit would let through
+        base, caret, power = token.partition("^")
+        signed = base.isdecimal() or (base[1:].isdecimal() and base[0] in "+-")
+        if not signed or (caret and not power.isdecimal()):
             raise ValueError(f"malformed braid token {token!r}")
+        letter, exp = int(base), int(power) if caret else 1
         if letter == 0 or abs(letter) > strands - 1:
             raise ValueError(f"generator index {letter} out of range for {strands} strands")
         if exp <= 0:
@@ -167,14 +166,33 @@ def full_twist(n: int) -> BraidWord:
     return BraidWord(n, tuple(range(1, n)) * n)
 
 
+# Miller-Rabin to the first 13 prime bases is exact below _MR_EXACT_BELOW
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
+    """Whether p is an odd prime, by Miller-Rabin to the bases ``_MR_BASES``;
+    False for every p >= ``_MR_EXACT_BELOW``, where the test would not be a
+    proof."""
+    if p < 3 or p % 2 == 0 or p >= _MR_EXACT_BELOW:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

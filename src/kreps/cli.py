@@ -31,6 +31,7 @@ from .braids import (
     braids_commute,
     closure_component_count,
     full_twist,
+    is_odd_prime,
     parse_braid,
     prime_twist_family,
 )
@@ -50,11 +51,11 @@ from .metabelian import (
     enumerate_rep_classes,
 )
 from .presentations import (
-    _burau_alexander,
-    _knot_poly,
     alexander_matrix,
     alexander_poly,
+    burau_alexander,
     coloring_form,
+    knot_poly,
 )
 
 # the largest --rmax: the profile has one row per modulus up to it
@@ -80,48 +81,21 @@ class PipelineError(Exception):
         self.code = code
 
 
-# Miller-Rabin to the first 13 prime bases is exact below _MR_EXACT_BELOW
-# (Sorenson and Webster, Math. Comp. 86, 2017)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
 # trial division stops here, after about 0.1 s
 _TRIAL_BOUND = 10**6
-
-
-def _proven_prime(n: int) -> bool:
-    """Whether n is prime, by Miller-Rabin to the bases ``_MR_BASES``; False
-    for every n >= ``_MR_EXACT_BELOW``, where the test would not be a proof."""
-    if n < 2 or n >= _MR_EXACT_BELOW:
-        return False
-    if n in _MR_BASES:
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _odd_prime_factors(n: int) -> list[int]:
     """The distinct odd prime factors of n >= 1, ascending.
 
-    Trial division stops once the cofactor is 1 or ``_proven_prime``.  A
+    Trial division stops once the cofactor is 1 or ``is_odd_prime``.  A
     cofactor that is still unresolved at ``_TRIAL_BOUND`` is refused with a
     ValueError rather than factored further."""
     while n % 2 == 0:
         n //= 2
     out = []
     d = 3
-    resolved = n == 1 or _proven_prime(n)
+    resolved = n == 1 or is_odd_prime(n)
     while not resolved and d * d <= n:
         if d > _TRIAL_BOUND:
             raise ValueError(
@@ -132,7 +106,7 @@ def _odd_prime_factors(n: int) -> list[int]:
             out.append(d)
             while n % d == 0:
                 n //= d
-            resolved = n == 1 or _proven_prime(n)
+            resolved = n == 1 or is_odd_prime(n)
         d += 2
     if n > 1:
         out.append(n)
@@ -140,7 +114,8 @@ def _odd_prime_factors(n: int) -> list[int]:
 
 
 def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
-    # the private polynomial routes skip this check, which comes before --rmax's
+    # both polynomial routes check this too, but a non-knot must exit 2
+    # before --rmax is checked and before any other work
     if closure_component_count(a) != 1:
         raise PipelineError("the closure of the braid is not a knot", EXIT_NOT_A_KNOT)
     if rmax is not None and rmax < 2:
@@ -150,10 +125,10 @@ def knot_report(a: BraidWord, rmax: int | None) -> dict[str, Any]:
     # the classes come from the form alone, so a word whose classes exceed
     # the enumeration cap is refused before the polynomial routes run
     classes = enumerate_rep_classes(form)
-    poly = _knot_poly(a)
+    poly = knot_poly(a)
     rep_count = count_irreducible_metabelian(det)
     checks = {
-        "burau_matches_fox": poly == _burau_alexander(a),
+        "burau_matches_fox": poly == burau_alexander(a),
         "determinant_matches_poly": det == abs(poly.evaluate(-1)),
         "class_count_matches_determinant": rep_count == len(classes),
     }
@@ -453,12 +428,11 @@ def _json_text(value: Any, pad: str = "") -> str:
     raise TypeError(f"a report cannot hold a {type(value).__name__}")
 
 
-def _emit(report: dict[str, Any], as_json: bool, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(report: dict[str, Any], as_json: bool) -> None:
     if as_json:
-        print(_json_text(report), file=stream)
+        print(_json_text(report))
     else:
-        _print_table(report, stream)
+        _print_table(report, sys.stdout)
 
 
 def _parse_signs(text: str | None) -> tuple[int, ...] | None:

@@ -8,7 +8,6 @@ The dense Z[t] helpers serve the elimination of
 subset expansion are oracles (``kreps.oracles``).
 """
 
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from ._frozen import Frozen
@@ -193,15 +192,14 @@ def normalize_unit(f: LaurentPoly) -> LaurentPoly:
     """Canonical representative of f up to units (signs and powers of t).
 
     Shifts the lowest exponent to 0 and makes the lowest-degree
-    coefficient positive.
+    coefficient positive, in one pass over the terms.
     """
-    if f.is_zero:
+    coeffs = f._coeffs
+    if not coeffs:
         raise ValueError("the zero polynomial has no unit normalization")
-    shift = -f.min_exp
-    g = f.shifted(shift)
-    if g.coeff(0) < 0:
-        g = -g
-    return g
+    low = min(coeffs)
+    sign = -1 if coeffs[low] < 0 else 1
+    return LaurentPoly._of({e - low: sign * c for e, c in coeffs.items()})
 
 
 # -- dense Z[t] helpers (for alexander_poly and the oracles) ---------------
@@ -223,13 +221,6 @@ def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def _content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-    return g
 
 
 # -- matrices over the Laurent ring ---------------------------------------

@@ -51,12 +51,11 @@ Conventions:
   and a word acts by composing letter actions so that
   ``act(ab, w) == act(a, act(b, w))``.  This order makes the braid
   relations hold letter for letter (a property test pins it down).
-* A presentation has generators t_1..t_m, each weighted by a power of t
-  under abelianization (weight exponent 1 everywhere in this package).
-  Its Fox matrix has one row per relator and one column per generator;
-  entry (i, j) is the abelianized free derivative of relator i by
-  generator j.  Row sums vanish identically because every relator has
-  weighted exponent sum zero.
+* A presentation has generators t_1..t_m, each a meridian that
+  abelianization sends to t.  Its Fox matrix has one row per relator and
+  one column per generator; entry (i, j) is the abelianized free
+  derivative of relator i by generator j.  Row sums vanish identically
+  because every relator has exponent sum zero.
 * The closure diagram of a braid has one arc per maximal over-segment;
   arcs are numbered 1..m.  At a crossing the over arc j transforms the
   incoming under arc i into the outgoing under arc k, and the crossing
@@ -91,7 +90,7 @@ from .intlinalg import (
     solution_columns_mod,
     solution_count_mod,
 )
-from .laurent import LaurentMatrix, LaurentPoly, _content, _dense, _from_dense, _trim, normalize_unit, poly_str
+from .laurent import LaurentMatrix, LaurentPoly, _dense, _from_dense, _trim, normalize_unit, poly_str
 from .metabelian import BinaryDihedralElt, RepClass, bd_inv, bd_mul, enumerate_rep_classes
 from .presentations import alexander_matrix, alexander_poly, burau_alexander, coloring_form, knot_poly
 
@@ -147,12 +146,8 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
 
-    def weighted_exponent_sum(self, weights: Sequence[int]) -> int:
-        total = 0
-        for x in self.letters:
-            w = weights[abs(x) - 1]
-            total += w if x > 0 else -w
-        return total
+    def exponent_sum(self) -> int:
+        return sum(1 if x > 0 else -1 for x in self.letters)
 
 
 def _letter_image(braid_letter: int, free_letter: int) -> tuple[int, ...]:
@@ -217,23 +212,21 @@ def free_words_commute(a: BraidWord, b: BraidWord) -> bool:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite presentation whose abelianization is infinite cyclic."""
+    """A finite presentation whose abelianization is infinite cyclic, every
+    generator a meridian sent to t."""
 
     generators: int
     relators: tuple[FreeWord, ...]
-    weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.generators < 1:
             raise ValueError("a presentation needs at least one generator")
-        if len(self.weights) != self.generators:
-            raise ValueError("one weight exponent per generator is required")
         for rel in self.relators:
             if rel.rank != self.generators:
                 raise ValueError("relator rank does not match the generator count")
-            if rel.weighted_exponent_sum(self.weights) != 0:
+            if rel.exponent_sum() != 0:
                 raise ValueError(
-                    "relator has nonzero weighted exponent sum; "
+                    "relator has nonzero exponent sum; "
                     "it cannot hold in a group with infinite cyclic abelianization"
                 )
 
@@ -250,7 +243,7 @@ def closure_presentation(a: BraidWord) -> Presentation:
         rel = gen * artin_act(a, gen).inverse()
         if not rel.is_identity:
             relators.append(rel)
-    return Presentation(n, tuple(relators), (1,) * n)
+    return Presentation(n, tuple(relators))
 
 
 def torus_covering_presentation(a: BraidWord, b: BraidWord) -> Presentation:
@@ -264,38 +257,34 @@ def torus_covering_presentation(a: BraidWord, b: BraidWord) -> Presentation:
     if closure_component_count(a) != 1:
         raise ValueError("the closure of the first braid must be a knot")
     relators = closure_presentation(a).relators + closure_presentation(b).relators
-    return Presentation(a.strands, relators, (1,) * a.strands)
+    return Presentation(a.strands, relators)
 
 
-def fox_derivative_abelianized(r: FreeWord, j: int, weights: Sequence[int]) -> LaurentPoly:
-    """Abelianized free derivative of r by generator j.
+def fox_derivative_abelianized(r: FreeWord, j: int) -> LaurentPoly:
+    """Abelianized free derivative of r by generator j, every generator
+    sent to t.
 
     Walks the word once: a positive occurrence of j contributes the
-    weighted prefix monomial, a negative one contributes minus the
-    prefix times the inverse weight of j.
+    prefix monomial, a negative one contributes minus the prefix times
+    t^-1.
     """
     if j < 1 or j > r.rank:
         raise ValueError("generator index out of range")
     coeffs: dict[int, int] = {}
     prefix = 0
     for letter in r.letters:
-        g = abs(letter)
-        w = weights[g - 1]
-        if g == j:
-            if letter > 0:
-                exp = prefix
-                coeffs[exp] = coeffs.get(exp, 0) + 1
-            else:
-                exp = prefix - w
-                coeffs[exp] = coeffs.get(exp, 0) - 1
-        prefix += w if letter > 0 else -w
+        if letter == j:
+            coeffs[prefix] = coeffs.get(prefix, 0) + 1
+        elif letter == -j:
+            coeffs[prefix - 1] = coeffs.get(prefix - 1, 0) - 1
+        prefix += 1 if letter > 0 else -1
     return LaurentPoly(coeffs)
 
 
 def fox_matrix(p: Presentation) -> LaurentMatrix:
     """Rows are relators, columns are generators."""
     grid = tuple(
-        tuple(fox_derivative_abelianized(rel, j, p.weights) for j in range(1, p.generators + 1))
+        tuple(fox_derivative_abelianized(rel, j) for j in range(1, p.generators + 1))
         for rel in p.relators
     )
     return LaurentMatrix(len(p.relators), p.generators, grid)
@@ -472,7 +461,7 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 
 def _primitive(cs: Sequence[int]) -> list[int]:
-    g = _content(cs)
+    g = gcd(*cs)
     if g <= 1:
         return _trim(list(cs))
     return _trim([c // g for c in cs])
@@ -511,7 +500,7 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         return normalize_unit(f)
     _, fc = _dense(f)
     _, gc = _dense(g)
-    c = gcd(_content(fc), _content(gc))
+    c = gcd(*fc, *gc)
     a, b = _primitive(fc), _primitive(gc)
     if len(a) < len(b):
         a, b = b, a

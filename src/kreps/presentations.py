@@ -46,7 +46,8 @@ them at t = -1:
   the determinant by a power of t alone, and the rows repacked if needed
   so that T/4 exceeds the product of their bounds, which bounds every
   coefficient of the determinant.  The Burau route divides it by 1 - t^n
-  as one integer divmod at that width.
+  as one integer divmod at that width.  Both routes unpack the result once
+  and hand it to ``normalize_unit``.
 """
 
 from math import gcd, prod
@@ -54,7 +55,7 @@ from typing import Sequence
 
 from .braids import BraidWord, closure_component_count
 from .intlinalg import IntMatrix, SNFResult, _bareiss, determinantal_divisor, smith_normal_form
-from .laurent import LaurentMatrix, LaurentPoly, _content, _dense, _from_dense, _trim, normalize_unit
+from .laurent import LaurentMatrix, LaurentPoly, _dense, _from_dense, _trim, normalize_unit
 
 # -- packed-integer kernel ----------------------------------------------------
 
@@ -230,17 +231,6 @@ def _packed_int_det(rows: list[list[int]], bounds: Sequence[int], k: int) -> tup
     return _bareiss(rows), k
 
 
-def _unit_normal(v: int, k: int) -> LaurentPoly:
-    """``normalize_unit`` of the f in Z[t] packed as v at 2^k, read straight
-    from its digits; ValueError for v = 0."""
-    cs = _unpack(v, k)
-    if not cs:
-        raise ValueError("the zero polynomial has no unit normalization")
-    low = next(e for e, c in enumerate(cs) if c)
-    sign = -1 if cs[low] < 0 else 1
-    return LaurentPoly._of({e: sign * c for e, c in enumerate(cs[low:]) if c})
-
-
 def burau_alexander(a: BraidWord) -> LaurentPoly:
     """Alexander polynomial of the knot closure via the reduced Burau
     matrix: det(I - B) * (1 - t) / (1 - t^n), normalized.
@@ -259,9 +249,9 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
     The columns are packed (``_burau_columns``) and divided by their
     largest powers of t (``_lowest_terms``), so det(B - I) = +-det(I - B)
     = t^-s c(t) for some s, c(T) is one integer determinant of them, and
-    the division is one integer divmod at T = 2^k, unpacked once into its
-    unit-normal form (``_unit_normal``, which drops the sign and the power
-    of t):
+    the division is one integer divmod at T = 2^k, unpacked once and put in
+    unit-normal form (``normalize_unit``, which drops the sign and the
+    power of t):
 
     * Let P = prod(bounds).  ``_packed_int_det`` gives ||c||_1 <= P and a
       width with P < 2^(k-2), so f = c (1 - t) has ||f||_1 <= 2P < 2^(k-1).
@@ -277,11 +267,6 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
     """
     if closure_component_count(a) != 1:
         raise ValueError("the closure is not a knot")
-    return _burau_alexander(a)
-
-
-def _burau_alexander(a: BraidWord) -> LaurentPoly:
-    """``burau_alexander`` of a braid whose closure is known to be a knot."""
     n = a.strands
     if n == 1:
         return LaurentPoly.one()
@@ -290,7 +275,7 @@ def _burau_alexander(a: BraidWord) -> LaurentPoly:
     quotient, remainder = divmod(char - (char << k), 1 - (1 << k * n))
     if remainder:
         raise ValueError("non-exact polynomial division")
-    return _unit_normal(quotient, k)
+    return normalize_unit(_from_dense(0, _unpack(quotient, k)))
 
 
 def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
@@ -333,15 +318,10 @@ def knot_poly(a: BraidWord) -> LaurentPoly:
     The rows are packed (``_jacobian_rows``), and the minor of J - I, which
     is +-1 times that of I - J, is one integer determinant of them, each
     divided first by its largest power of t (``_lowest_terms``), unpacked
-    once into its unit-normal form.
+    once and put in unit-normal form (``normalize_unit``).
     """
     if closure_component_count(a) != 1:
         raise ValueError("the closure is not a knot")
-    return _knot_poly(a)
-
-
-def _knot_poly(a: BraidWord) -> LaurentPoly:
-    """``knot_poly`` of a braid whose closure is known to be a knot."""
     n = a.strands
     if n == 1:
         return LaurentPoly.one()
@@ -349,7 +329,7 @@ def _knot_poly(a: BraidWord) -> LaurentPoly:
     minor = [row[:-1] for row in rows[: n - 1]]
     k, minor, _, bounds = _minus_identity((k, minor, power, bounds[: n - 1]))
     det, k = _packed_int_det(_lowest_terms(minor, k), bounds, k)
-    return _unit_normal(det, k)
+    return normalize_unit(_from_dense(0, _unpack(det, k)))
 
 
 def _reduce(row: list[list[int]], pivot: list[list[int]], j: int) -> list[list[int]]:
@@ -366,7 +346,7 @@ def _reduce(row: list[list[int]], pivot: list[list[int]], j: int) -> list[list[i
         for e, c in enumerate(y, s):
             z[e] -= b * c
         out.append(_trim(z))
-    g = _content([c for z in out for c in z])
+    g = gcd(*[c for z in out for c in z])
     low = min((next(e for e, c in enumerate(z) if c) for z in out if z), default=0)
     return [[c // g for c in z[low:]] for z in out]
 
@@ -414,7 +394,7 @@ def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
             reduced = [_reduce(row, pivot, j) for row in live if row is not pivot]
             live = [pivot, *(row for row in reduced if row[j])]
             rows.extend(row for row in reduced if not row[j])
-        g = _content(live[0][j])
+        g = gcd(*live[0][j])
         poly = poly * _from_dense(0, [c // g for c in live[0][j]])
     at_one = IntMatrix.from_rows([row[:n] for row in m.evaluate(1)], cols=n)
     divisor = determinantal_divisor(smith_normal_form(at_one), n)

@@ -11,6 +11,7 @@ from kreps.braids import (
     braids_commute,
     closure_component_count,
     full_twist,
+    is_odd_prime,
     parse_braid,
     prime_twist_family,
 )
@@ -53,7 +54,7 @@ def test_parse_rejects_bad_tokens():
     with pytest.raises(ValueError, match="out of range"):
         parse_braid("-0", 2)
     # int() reads "1_0" as 10 and str.isdigit() accepts "²", but neither is a token
-    for token in ("1_0", "1\u00b2", "+-1"):
+    for token in ("1_0", "1\u00b2", "+-1", "1^", "^2", "1^2^3", "1^+2"):
         with pytest.raises(ValueError, match="malformed"):
             parse_braid(token, 12)
     with pytest.raises(ValueError):
@@ -64,6 +65,21 @@ def test_parse_rejects_bad_tokens():
         parse_braid("1^-2", 2)
     with pytest.raises(ValueError):
         parse_braid("sigma", 2)
+
+
+def test_is_odd_prime_matches_trial_division():
+    def trial(p):
+        return p > 2 and p % 2 == 1 and all(p % d for d in range(3, int(p**0.5) + 1, 2))
+
+    assert [p for p in range(20_000) if is_odd_prime(p)] == [p for p in range(20_000) if trial(p)]
+    # strong pseudoprimes to the first prime bases; the last passes bases 2
+    # to 37, and only base 41 catches it
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_odd_prime(n), n
+    # at and past the bound below which the 13 bases prove primality
+    assert not is_odd_prime(3317044064679887385961981)
+    assert not is_odd_prime(2**89 - 1)
 
 
 def test_parse_bounds_run_expansion():

@@ -234,6 +234,21 @@ def test_knot_report_never_builds_free_words(capsys, monkeypatch):
     assert [run(capsys, *argv)[:2] for argv in argvs] == expected
 
 
+def test_knot_report_runs_each_polynomial_route_once(capsys, monkeypatch):
+    import kreps.cli as cli
+
+    calls = []
+    for name in ("knot_poly", "burau_alexander"):
+        def counted(a, _route=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _route(a)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, _, err = run(capsys, "knot", "1 -2 1 -2", "-n", "3", "--rmax", "12", "--json")
+    assert code == EXIT_OK, err
+    assert sorted(calls) == ["burau_alexander", "knot_poly"]
+
+
 def test_reports_reduce_each_matrix_once(capsys, monkeypatch):
     import kreps.intlinalg as intlinalg
 

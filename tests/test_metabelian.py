@@ -46,7 +46,7 @@ def wirtinger_trefoil():
         FreeWord(3, (3, 2, -3, -1)),  # x3 x2 x3^-1 = x1
         FreeWord(3, (1, 3, -1, -2)),  # x1 x3 x1^-1 = x2
     )
-    return Presentation(3, rels, (1, 1, 1))
+    return Presentation(3, rels)
 
 
 # -- group law -------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_verify_rejects_perturbed_assignment():
 
 
 def test_verify_empty_relator_list():
-    pres = Presentation(2, (), (1, 1))
+    pres = Presentation(2, ())
     assert verify_representation(pres, (R(3, 0), R(3, 2)))
 
 

@@ -32,7 +32,6 @@ from kreps.presentations import (
     _pack,
     _packed_int_det,
     _to_poly,
-    _unit_normal,
     _unpack,
     _width,
     alexander_matrix,
@@ -96,11 +95,6 @@ def test_pack_and_unpack_give_the_polynomial_back(case):
     v = _pack(cs, k)
     assert v == sum(c * 2 ** (k * e) for e, c in enumerate(cs))
     assert _to_poly(v, power, k) == f
-    if f:
-        assert _unit_normal(v, k) == normalize_unit(f)
-    else:
-        with pytest.raises(ValueError):
-            _unit_normal(v, k)
     while cs and not cs[-1]:
         cs.pop()
     assert _unpack(v, k) == cs
