@@ -8,11 +8,10 @@ The slower, independent routes that cross-check these numbers, and the
 so they are imported from there and not exported here.
 
 All values are immutable and all operations are pure functions, so the
-whole API is safe to call concurrently.  The record types are NamedTuples
-or ``__slots__`` classes on ``_frozen.Frozen``, which refuses assignment,
-and a ``LaurentPoly`` hands out copies of its coefficients.  None is a
-dataclass, so importing the package loads no more of the standard library
-than a report runs.
+whole API is safe to call concurrently.  The record types, ``LaurentPoly``
+among them, are NamedTuples or ``__slots__`` classes on ``_frozen.Frozen``,
+which refuses assignment.  None is a dataclass, so importing the package
+loads no more of the standard library than a report runs.
 """
 
 from .braids import (

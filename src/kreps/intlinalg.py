@@ -60,10 +60,6 @@ class IntMatrix(Frozen):
         )
         return IntMatrix(self.rows, other.cols, grid)
 
-    def column_deleted(self, j: int) -> "IntMatrix":
-        grid = tuple(row[:j] + row[j + 1 :] for row in self.entries)
-        return IntMatrix(self.rows, self.cols - 1, grid)
-
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")

@@ -1,11 +1,11 @@
 """Exact arithmetic in the ring of integer Laurent polynomials Z[t, 1/t].
 
-Polynomials are sparse maps from integer exponents to arbitrary-precision
-integer coefficients; no floats or rationals appear anywhere.  Matrices
-over the ring are thin immutable grids used for Alexander-type matrices.
-The dense Z[t] helpers serve the elimination of
-``presentations.alexander_poly``; the gcd and the determinants by
-subset expansion are oracles (``kreps.oracles``).
+A polynomial is t^low times a tuple of arbitrary-precision integer
+coefficients with no zero at either end, the one format that the packed
+kernel, the surface elimination and the oracles' gcd and division read
+and write; no floats or rationals appear anywhere.  Matrices over the
+ring are thin immutable grids used for Alexander-type matrices.  The gcd
+and the determinants by subset expansion are oracles (``kreps.oracles``).
 """
 
 from typing import Iterable, Mapping, Sequence
@@ -13,29 +13,43 @@ from typing import Iterable, Mapping, Sequence
 from ._frozen import Frozen
 
 
-class LaurentPoly:
-    """A Laurent polynomial with integer coefficients.
+def _integral(x) -> int:
+    """x as an int; ValueError when int() would change its value."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
 
-    Immutable.  Zero coefficients are never stored; the zero polynomial
-    has an empty coefficient map.
-    """
 
-    __slots__ = ("_coeffs",)
+class LaurentPoly(Frozen):
+    """A Laurent polynomial with integer coefficients, t^low (c_0 + c_1 t +
+    ... + c_d t^d) with c_0 and c_d nonzero, stored as low and (c_0, ...,
+    c_d); the zero polynomial is low 0 with no coefficients.  Immutable,
+    compared and hashed by that pair."""
+
+    __slots__ = ("_low", "_cs")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if c:
-                    clean[int(exp)] = int(c)
-        object.__setattr__(self, "_coeffs", clean)
+        clean = {_integral(e): _integral(c) for e, c in (coeffs or {}).items()}
+        clean = {e: c for e, c in clean.items() if c}
+        low = min(clean, default=0)
+        span = range(low, max(clean, default=-1) + 1)
+        object.__setattr__(self, "_low", low)
+        object.__setattr__(self, "_cs", tuple(clean.get(e, 0) for e in span))
 
     @classmethod
-    def _of(cls, clean: dict[int, int]) -> "LaurentPoly":
-        """Wrap ``clean`` without copying it.  The caller guarantees that it
-        maps ints to nonzero ints and that nothing else keeps it."""
+    def from_dense(cls, low: int, coefficients: Iterable[int]) -> "LaurentPoly":
+        """t^low times sum c_i t^i, the zeros at either end dropped."""
+        cs = tuple(coefficients)
+        end = len(cs)
+        while end and not cs[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not cs[start]:
+            start += 1
         f = object.__new__(cls)
-        object.__setattr__(f, "_coeffs", clean)
+        object.__setattr__(f, "_low", low + start if end else 0)
+        object.__setattr__(f, "_cs", cs[start:end])
         return f
 
     # -- constructors ------------------------------------------------
@@ -59,68 +73,72 @@ class LaurentPoly:
     # -- structure ---------------------------------------------------
 
     @property
+    def dense(self) -> tuple[int, tuple[int, ...]]:
+        """(low, coefficients), the coefficients those of t^low, t^(low+1),
+        ..., with nonzero ends; (0, ()) for zero."""
+        return self._low, self._cs
+
+    @property
     def coeffs(self) -> dict[int, int]:
-        return dict(self._coeffs)
+        return dict(self.terms())
 
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
-        return sorted(self._coeffs.items())
+        return [(e, c) for e, c in enumerate(self._cs, self._low) if c]
 
     def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        i = exp - self._low
+        return self._cs[i] if 0 <= i < len(self._cs) else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._cs
 
     @property
     def min_exp(self) -> int:
-        if not self._coeffs:
+        if not self._cs:
             raise ValueError("zero polynomial has no degree bounds")
-        return min(self._coeffs)
+        return self._low
 
     @property
     def max_exp(self) -> int:
-        if not self._coeffs:
+        if not self._cs:
             raise ValueError("zero polynomial has no degree bounds")
-        return max(self._coeffs)
+        return self._low + len(self._cs) - 1
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            c = out.get(e, 0) + c
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return LaurentPoly._of(out)
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other."""
+        if not self._cs:
+            return other if sign > 0 else -other
+        if not other._cs:
+            return self
+        low = min(self._low, other._low)
+        out = [0] * (max(self.max_exp, other.max_exp) + 1 - low)
+        out[self._low - low : self.max_exp + 1 - low] = self._cs
+        for i, c in enumerate(other._cs, other._low - low):
+            out[i] += sign * c
+        return LaurentPoly.from_dense(low, out)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of({e: -c for e, c in self._coeffs.items()})
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            c = out.get(e, 0) - c
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return LaurentPoly._of(out)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly.from_dense(self._low, [-c for c in self._cs])
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-        return LaurentPoly._of(out)
+        if not self._cs or not other._cs:
+            return LaurentPoly.zero()
+        out = [0] * (len(self._cs) + len(other._cs) - 1)
+        for i, x in enumerate(self._cs):
+            if x:
+                for j, y in enumerate(other._cs, i):
+                    out[j] += x * y
+        return LaurentPoly.from_dense(self._low + other._low, out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -136,28 +154,22 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly._of({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly.from_dense(self._low + k, self._cs)
 
     def evaluate(self, v: int) -> int:
         """Value at t = v, only for v in {1, -1} (so 1/t stays integral)."""
         if v == 1:
-            return sum(self._coeffs.values())
+            return sum(self._cs)
         if v == -1:
-            return sum(c if e % 2 == 0 else -c for e, c in self._coeffs.items())
+            value = sum(self._cs[::2]) - sum(self._cs[1::2])
+            return -value if self._low % 2 else value
         raise ValueError("Laurent polynomials are integer-valued only at t = 1 or t = -1")
 
-    # -- comparisons ---------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._cs)
+
+    def __reduce__(self) -> tuple:
+        return LaurentPoly.from_dense, self.dense
 
     def __repr__(self) -> str:
         return f"LaurentPoly({poly_str(self)!r})"
@@ -189,32 +201,15 @@ def poly_str(f: LaurentPoly) -> str:
 
 
 def normalize_unit(f: LaurentPoly) -> LaurentPoly:
-    """Canonical representative of f up to units (signs and powers of t).
-
-    Shifts the lowest exponent to 0 and makes the lowest-degree
-    coefficient positive, in one pass over the terms.
-    """
-    coeffs = f._coeffs
-    if not coeffs:
+    """Canonical representative of f up to units (signs and powers of t):
+    the lowest exponent shifted to 0 and the lowest coefficient positive."""
+    _, cs = f.dense
+    if not cs:
         raise ValueError("the zero polynomial has no unit normalization")
-    low = min(coeffs)
-    sign = -1 if coeffs[low] < 0 else 1
-    return LaurentPoly._of({e - low: sign * c for e, c in coeffs.items()})
+    return LaurentPoly.from_dense(0, cs if cs[0] > 0 else [-c for c in cs])
 
 
-# -- dense Z[t] helpers (for alexander_poly and the oracles) ---------------
-
-
-def _dense(f: LaurentPoly) -> tuple[int, list[int]]:
-    """(offset, coefficients) with coefficients[0] the t^offset term."""
-    if f.is_zero:
-        return 0, []
-    lo, hi = f.min_exp, f.max_exp
-    return lo, [f.coeff(e) for e in range(lo, hi + 1)]
-
-
-def _from_dense(offset: int, cs: Sequence[int]) -> LaurentPoly:
-    return LaurentPoly._of({offset + i: c for i, c in enumerate(cs) if c})
+# -- the list helper of the Z[t] eliminations and divisions ----------------
 
 
 def _trim(cs: list[int]) -> list[int]:

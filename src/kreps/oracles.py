@@ -90,7 +90,7 @@ from .intlinalg import (
     solution_columns_mod,
     solution_count_mod,
 )
-from .laurent import LaurentMatrix, LaurentPoly, _dense, _from_dense, _trim, normalize_unit, poly_str
+from .laurent import LaurentMatrix, LaurentPoly, _trim, normalize_unit, poly_str
 from .metabelian import BinaryDihedralElt, RepClass, bd_inv, bd_mul, enumerate_rep_classes
 from .presentations import alexander_matrix, alexander_poly, burau_alexander, coloring_form, knot_poly
 
@@ -440,8 +440,8 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
         return LaurentPoly.zero()
-    fo, fc = _dense(f)
-    go, gc = _dense(g)
+    fo, fc = f.dense
+    go, gc = g.dense
     if len(fc) < len(gc):
         raise ValueError("non-exact polynomial division")
     q = [0] * (len(fc) - len(gc) + 1)
@@ -457,7 +457,7 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         _trim(r)
     if _trim(r):
         raise ValueError("non-exact polynomial division")
-    return _from_dense(fo - go, q)
+    return LaurentPoly.from_dense(fo - go, q)
 
 
 def _primitive(cs: Sequence[int]) -> list[int]:
@@ -498,8 +498,8 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         return normalize_unit(g)
     if g.is_zero:
         return normalize_unit(f)
-    _, fc = _dense(f)
-    _, gc = _dense(g)
+    _, fc = f.dense
+    _, gc = g.dense
     c = gcd(*fc, *gc)
     a, b = _primitive(fc), _primitive(gc)
     if len(a) < len(b):
@@ -507,7 +507,7 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     while b:
         r = _prem(a, b)
         a, b = b, _primitive(r)
-    return normalize_unit(_from_dense(0, [c * x for x in a]))
+    return normalize_unit(LaurentPoly.from_dense(0, [c * x for x in a]))
 
 
 def laurent_det(m: LaurentMatrix) -> LaurentPoly:

@@ -55,7 +55,7 @@ from typing import Sequence
 
 from .braids import BraidWord, closure_component_count
 from .intlinalg import IntMatrix, SNFResult, _bareiss, determinantal_divisor, smith_normal_form
-from .laurent import LaurentMatrix, LaurentPoly, _dense, _from_dense, _trim, normalize_unit
+from .laurent import LaurentMatrix, LaurentPoly, _trim, normalize_unit
 
 # -- packed-integer kernel ----------------------------------------------------
 
@@ -91,11 +91,6 @@ def _unpack(v: int, k: int) -> list[int]:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _to_poly(v: int, power: int, k: int) -> LaurentPoly:
-    """t^-power f for the f in Z[t] packed as v at 2^k."""
-    return LaurentPoly({e - power: c for e, c in enumerate(_unpack(v, k))})
 
 
 def _zero_digits(values: list[int], k: int) -> int:
@@ -275,7 +270,7 @@ def burau_alexander(a: BraidWord) -> LaurentPoly:
     quotient, remainder = divmod(char - (char << k), 1 - (1 << k * n))
     if remainder:
         raise ValueError("non-exact polynomial division")
-    return normalize_unit(_from_dense(0, _unpack(quotient, k)))
+    return normalize_unit(LaurentPoly.from_dense(0, _unpack(quotient, k)))
 
 
 def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
@@ -288,15 +283,18 @@ def alexander_matrix(*braids: BraidWord) -> LaurentMatrix:
         +i:  row_i <- (1-t) row_i + t row_{i+1},  row_{i+1} <- old row_i
         -i:  row_i <- row_{i+1},  row_{i+1} <- t^-1 row_i + (1-t^-1) row_{i+1}
 
-    The rows are packed (``_jacobian_rows``) and unpacked once at the end;
-    a packed value is 0 exactly when its polynomial is.
+    The rows are packed (``_jacobian_rows``) and each value is unpacked
+    once, straight into ``LaurentPoly.from_dense``; a packed value is 0
+    exactly when its polynomial is.
     """
     if len({word.strands for word in braids}) != 1:
         raise ValueError("one or more braids on the same number of strands are required")
     rows = []
     for word in braids:
         k, vectors, power, _ = _minus_identity(_jacobian_rows(word))
-        rows.extend([_to_poly(-v, power, k) for v in vec] for vec in vectors if any(vec))
+        rows.extend(
+            [LaurentPoly.from_dense(-power, _unpack(-v, k)) for v in vec] for vec in vectors if any(vec)
+        )
     return LaurentMatrix.from_rows(rows, cols=braids[0].strands)
 
 
@@ -329,7 +327,7 @@ def knot_poly(a: BraidWord) -> LaurentPoly:
     minor = [row[:-1] for row in rows[: n - 1]]
     k, minor, _, bounds = _minus_identity((k, minor, power, bounds[: n - 1]))
     det, k = _packed_int_det(_lowest_terms(minor, k), bounds, k)
-    return normalize_unit(_from_dense(0, _unpack(det, k)))
+    return normalize_unit(LaurentPoly.from_dense(0, _unpack(det, k)))
 
 
 def _reduce(row: list[list[int]], pivot: list[list[int]], j: int) -> list[list[int]]:
@@ -360,14 +358,14 @@ def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
 
     * The rows of M sum to zero, so each minor equals, up to sign, one on
       the same rows that avoids the base (last) column; only those count.
-    * The rows, as Z[t] coefficient lists with their lowest power of t
-      shifted to t^0, are eliminated column by column: the row of least
-      degree in the column is the pivot, every other row nonzero there is
-      reduced against it (``_reduce``), and the pivot is chosen again
-      until one row is left.  Each step is invertible over Q[t, 1/t], so
-      the gcd of the maximal minors over Q[t, 1/t] is the product of the
-      pivots (the Hermite form; Kannan and Bachem, SIAM J. Comput. 8,
-      1979), and 0 if a column finds no row.
+    * The rows, as Z[t] coefficient lists read from each entry's ``dense``
+      pair, their lowest power of t shifted to t^0, are eliminated column
+      by column: the row of least degree in the column is the pivot, every
+      other row nonzero there is reduced against it (``_reduce``), and the
+      pivot is chosen again until one row is left.  Each step is
+      invertible over Q[t, 1/t], so the gcd of the maximal minors over
+      Q[t, 1/t] is the product of the pivots (the Hermite form; Kannan and
+      Bachem, SIAM J. Comput. 8, 1979), and 0 if a column finds no row.
     * The gcd over Z[t, 1/t] evaluates at t = 1 to a divisor of every
       maximal minor of the base-free M(1).  When their gcd is 1, the gcd
       has content 1, so by Gauss's lemma it is the primitive part of the
@@ -379,10 +377,10 @@ def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
     n = m.cols - 1
     rows = []
     for entries in m.entries:
-        dense = [_dense(p) for p in entries[:n]]
+        dense = [p.dense for p in entries[:n]]
         low = min((e for e, cs in dense if cs), default=None)
         if low is not None:
-            rows.append([[0] * (e - low) + cs if cs else cs for e, cs in dense])
+            rows.append([(0,) * (e - low) + cs if cs else cs for e, cs in dense])
     poly = LaurentPoly.one()
     for j in range(n):
         live = [row for row in rows if row[j]]
@@ -395,7 +393,7 @@ def alexander_poly(m: LaurentMatrix) -> LaurentPoly:
             live = [pivot, *(row for row in reduced if row[j])]
             rows.extend(row for row in reduced if not row[j])
         g = gcd(*live[0][j])
-        poly = poly * _from_dense(0, [c // g for c in live[0][j]])
+        poly = poly * LaurentPoly.from_dense(0, [c // g for c in live[0][j]])
     at_one = IntMatrix.from_rows([row[:n] for row in m.evaluate(1)], cols=n)
     divisor = determinantal_divisor(smith_normal_form(at_one), n)
     if divisor != 1:

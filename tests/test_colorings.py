@@ -32,8 +32,8 @@ def diagram_form(d):
     """The coloring form of a diagram: the crossing matrix at t = -1 with
     the last column deleted, reduced."""
     m = coloring_matrix(d)
-    at_minus_one = IntMatrix.from_rows(m.evaluate(-1), cols=m.cols)
-    return smith_normal_form(at_minus_one.column_deleted(m.cols - 1))
+    rows = [row[:-1] for row in m.evaluate(-1)]
+    return smith_normal_form(IntMatrix.from_rows(rows, cols=m.cols - 1))
 
 
 # -- the quandle operation ------------------------------------------------

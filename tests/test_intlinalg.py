@@ -304,12 +304,6 @@ def test_int_det_matches_permutation_expansion():
         assert int_det(m) == expand(tuple(range(n)), tuple(range(n)))
 
 
-def test_column_deleted():
-    a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert a.column_deleted(1).entries == ((1, 3), (4, 6))
-    assert a.column_deleted(2).cols == 2
-
-
 def test_divisor_products_from_snf():
     a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     snf = check_snf(a)

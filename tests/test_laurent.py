@@ -194,8 +194,8 @@ def test_minor_gcd():
 
 # -- the kernel against a plain-dict reference -----------------------------
 #
-# Equality, hashing and poly_str all read the stored map, so every result
-# must also store no zero coefficient.
+# Equality and hashing read the stored pair (low, coefficients), so every
+# result must store it with no zero at either end, and zero as (0, ()).
 
 coeff_maps = st.dictionaries(st.integers(-5, 5), st.integers(-4, 4), max_size=5)
 polys = coeff_maps.map(LaurentPoly)
@@ -222,9 +222,10 @@ def ref_mul(f, g):
 
 
 def stored(f):
-    coeffs = f.coeffs
-    assert all(type(e) is int and type(c) is int and c for e, c in coeffs.items())
-    return coeffs
+    low, cs = f.dense
+    assert type(low) is int and type(cs) is tuple and all(type(c) is int for c in cs)
+    assert (cs[0] and cs[-1]) if cs else low == 0
+    return f.coeffs
 
 
 @settings(deadline=None)
@@ -232,6 +233,26 @@ def stored(f):
 def test_constructor_coerces_and_drops_zeros(d):
     f = LaurentPoly({float(e): float(c) for e, c in d.items()})
     assert stored(f) == ref_clean(d)
+    # a value that int() would change is refused, not truncated to a zero
+    # coefficient or onto another term's exponent
+    for bad in ({0: 0.5}, {1: 2, 1.7: 3}, {0.5: 1}, {**d, 0: -0.25}):
+        with pytest.raises(ValueError):
+            LaurentPoly(bad)
+
+
+@settings(deadline=None)
+@given(coeff_maps, st.integers(-6, 6), st.integers(0, 3), st.integers(0, 3))
+def test_from_dense_stores_what_the_mapping_constructor_does(d, low, before, after):
+    # the terms of d moved to start at t^low, as a list padded with zeros
+    clean = ref_clean(d)
+    first = min(clean, default=0)
+    span = [clean.get(e, 0) for e in range(first, max(clean, default=-1) + 1)]
+    moved = {e - first + low: c for e, c in clean.items()}
+    f = LaurentPoly(moved)
+    g = LaurentPoly.from_dense(low - before, [0] * before + span + [0] * after)
+    assert g == f and hash(g) == hash(f) and stored(g) == moved
+    assert g.dense == f.dense == ((low, tuple(span)) if clean else (0, ()))
+    assert g.evaluate(-1) == sum(c if e % 2 == 0 else -c for e, c in moved.items())
 
 
 @settings(deadline=None)

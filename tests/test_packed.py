@@ -31,7 +31,6 @@ from kreps.presentations import (
     _minus_identity,
     _pack,
     _packed_int_det,
-    _to_poly,
     _unpack,
     _width,
     alexander_matrix,
@@ -52,7 +51,7 @@ def unpacked(packed):
     k, vectors, power, bounds = packed
     out = []
     for vec, bound in zip(vectors, bounds):
-        polys = [_to_poly(v, power, k) for v in vec]
+        polys = [LaurentPoly.from_dense(-power, _unpack(v, k)) for v in vec]
         assert sum(abs(c) for f in polys for c in f.coeffs.values()) <= bound <= 1 << (k - 2)
         out.append(polys)
     return out
@@ -94,7 +93,7 @@ def test_pack_and_unpack_give_the_polynomial_back(case):
     f = LaurentPoly({e - power: c for e, c in enumerate(cs)})
     v = _pack(cs, k)
     assert v == sum(c * 2 ** (k * e) for e, c in enumerate(cs))
-    assert _to_poly(v, power, k) == f
+    assert LaurentPoly.from_dense(-power, _unpack(v, k)) == f
     while cs and not cs[-1]:
         cs.pop()
     assert _unpack(v, k) == cs
@@ -209,7 +208,7 @@ def packed_det(rows, powers, bounds, k):
     """The determinant of packed rows, row i carrying t^-powers[i], as a
     Laurent polynomial: ``_packed_int_det`` unpacked at the width it gives."""
     det, k = _packed_int_det(rows, bounds, k)
-    return _to_poly(det, sum(powers), k)
+    return LaurentPoly.from_dense(-sum(powers), _unpack(det, k))
 
 small_polys = st.dictionaries(st.integers(-3, 3), st.integers(-40, 40), max_size=3).map(LaurentPoly)
 square_grids = st.integers(0, 4).flatmap(

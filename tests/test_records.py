@@ -90,6 +90,18 @@ def test_records_refuse_assignment_and_deletion(name):
     assert getattr(value, field) is before and value == twin
 
 
+def test_polynomials_refuse_assignment_and_copy_to_equal_values():
+    f = LaurentPoly({-1: 2, 1: -3})
+    for field in ("_low", "_cs"):
+        with pytest.raises(AttributeError):
+            setattr(f, field, getattr(f, field))
+        with pytest.raises(AttributeError):
+            delattr(f, field)
+    assert f.dense == (-1, (2, 0, -3))
+    for clone in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(clone) is LaurentPoly and clone == f and clone.dense == f.dense
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_records_copy_and_pickle_to_equal_values(name):
     value = RECORDS[name][0]
