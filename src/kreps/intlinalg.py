@@ -220,8 +220,12 @@ def _count_text(count: int, noun: str) -> str:
 
 def _enum_cap() -> int:
     """The most solutions or candidates an enumeration may produce: 10**6,
-    or the value of KREPS_ENUM_CAP."""
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    or the value of KREPS_ENUM_CAP; ValueError naming the variable when
+    that is not a non-negative decimal integer."""
+    value = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"{ENUM_CAP_ENV} must be a non-negative decimal integer, not {value!r}")
+    return int(value)
 
 
 def solution_columns_mod(snf: SNFResult, r: int) -> list[list[int]]:

@@ -8,7 +8,7 @@ ring are thin immutable grids used for Alexander-type matrices.  The gcd
 and the determinants by subset expansion are oracles (``kreps.oracles``).
 """
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ._frozen import Frozen
 
@@ -78,33 +78,9 @@ class LaurentPoly(Frozen):
         ..., with nonzero ends; (0, ()) for zero."""
         return self._low, self._cs
 
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self.terms())
-
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
         return [(e, c) for e, c in enumerate(self._cs, self._low) if c]
-
-    def coeff(self, exp: int) -> int:
-        i = exp - self._low
-        return self._cs[i] if 0 <= i < len(self._cs) else 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._cs
-
-    @property
-    def min_exp(self) -> int:
-        if not self._cs:
-            raise ValueError("zero polynomial has no degree bounds")
-        return self._low
-
-    @property
-    def max_exp(self) -> int:
-        if not self._cs:
-            raise ValueError("zero polynomial has no degree bounds")
-        return self._low + len(self._cs) - 1
 
     # -- ring operations ----------------------------------------------
 
@@ -115,8 +91,8 @@ class LaurentPoly(Frozen):
         if not other._cs:
             return self
         low = min(self._low, other._low)
-        out = [0] * (max(self.max_exp, other.max_exp) + 1 - low)
-        out[self._low - low : self.max_exp + 1 - low] = self._cs
+        out = [0] * (self._low - low) + list(self._cs)
+        out += [0] * (other._low + len(other._cs) - low - len(out))
         for i, c in enumerate(other._cs, other._low - low):
             out[i] += sign * c
         return LaurentPoly.from_dense(low, out)
@@ -139,22 +115,6 @@ class LaurentPoly(Frozen):
                 for j, y in enumerate(other._cs, i):
                     out[j] += x * y
         return LaurentPoly.from_dense(self._low + other._low, out)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly.from_dense(self._low + k, self._cs)
 
     def evaluate(self, v: int) -> int:
         """Value at t = v, only for v in {1, -1} (so 1/t stays integral)."""
@@ -183,7 +143,7 @@ def poly_str(f: LaurentPoly) -> str:
 
     Negative exponents print as ``t^-2``.
     """
-    if f.is_zero:
+    if not f:
         return "0"
     parts: list[str] = []
     for e, c in f.terms():
@@ -247,11 +207,10 @@ class LaurentMatrix(Frozen):
             cols = len(grid[0])
         return cls(len(grid), cols, grid)
 
-    @classmethod
-    def identity(cls, n: int) -> "LaurentMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return cls(n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
+    # The product and the ring operations it needs stay here, not in
+    # kreps.oracles: the perfbench tracer wraps LaurentMatrix.__matmul__ by
+    # name, oracles.coloring_matrix and oracles.laurent_det use +, -, * and
+    # truthiness, and alexander_poly multiplies its pivots.
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -266,25 +225,6 @@ class LaurentMatrix(Frozen):
             grid.append(tuple(row))
         return LaurentMatrix(self.rows, other.cols, tuple(grid))
 
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix difference")
-        return LaurentMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(self.entries[i][j] - other.entries[i][j] for j in range(self.cols))
-                for i in range(self.rows)
-            ),
-        )
-
     def evaluate(self, v: int) -> list[list[int]]:
         """Integer matrix of values at t = v, for v in {1, -1}."""
         return [[p.evaluate(v) for p in row] for row in self.entries]
-
-    def without_zero_rows(self) -> "LaurentMatrix":
-        return LaurentMatrix.from_rows([row for row in self.entries if any(row)], cols=self.cols)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
-        grid = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
-        return LaurentMatrix(len(row_idx), len(col_idx), grid)

@@ -187,4 +187,5 @@ def enumerate_rep_classes(form: SNFResult) -> list[RepClass]:
     lift = list(range(det))
     lift[1::2] = range(det + 1, 2 * det, 2)
     angles = zip(*[map(lift.__getitem__, colors) for colors in zip(*chosen)])
-    return list(map(RepClass, repeat(det), chosen, angles))
+    # tuple.__new__ builds each record without the NamedTuple's Python-level __new__
+    return list(map(tuple.__new__, repeat(RepClass), zip(repeat(det), chosen, angles)))

@@ -384,6 +384,15 @@ def test_unfactored_determinants_exit_1(capsys, monkeypatch):
     assert err.startswith("error: cannot factor the determinant")
 
 
+def test_a_malformed_enumeration_cap_is_refused(capsys, monkeypatch):
+    # a negative value, which int() accepted, is refused like one it did not
+    for value in ("-1", "abc"):
+        monkeypatch.setenv("KREPS_ENUM_CAP", value)
+        code, out, err = run(capsys, "knot", "1^3", "-n", "2", "--json")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: KREPS_ENUM_CAP must be a non-negative decimal integer, not {value!r}\n"
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "knot", "9", "-n", "2", "--json")
     assert code == EXIT_USAGE

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 from math import gcd, prod
 
@@ -205,6 +206,17 @@ def test_enumeration_cap_env(monkeypatch):
         enumerate_solutions_mod(zero, 2)
     monkeypatch.setenv("KREPS_ENUM_CAP", "1000")
     assert len(enumerate_solutions_mod(zero, 2)) == 4
+    monkeypatch.setenv("KREPS_ENUM_CAP", "0")
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_solutions_mod(zero, 2)
+
+
+@pytest.mark.parametrize("value", ["abc", "1e6", "-1", "", " 5", "+5", "1_000", "4.0", "\u0663"])
+def test_enumeration_cap_env_refuses_all_but_decimal_digits(monkeypatch, value):
+    monkeypatch.setenv("KREPS_ENUM_CAP", value)
+    message = f"^KREPS_ENUM_CAP must be a non-negative decimal integer, not {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        enumerate_solutions_mod(snf_of([[0, 0]], cols=2), 2)
 
 
 def test_random_battery_counts_and_enumeration():

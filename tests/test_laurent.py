@@ -26,13 +26,6 @@ def test_basic_ring_identities():
     assert LaurentPoly.t(-1) * t == one
 
 
-def test_pow():
-    assert t**3 == LaurentPoly.t(3)
-    assert (one - t) ** 2 == one - LaurentPoly.term(2, 1) + LaurentPoly.t(2)
-    with pytest.raises(ValueError):
-        (one + t) ** -1
-
-
 def test_evaluation():
     trefoil = LaurentPoly({0: 1, 1: -1, 2: 1})
     assert trefoil.evaluate(-1) == 3
@@ -65,7 +58,7 @@ def test_normalize_unit_is_idempotent_and_unit_invariant():
     rng = random.Random(2)
     for _ in range(100):
         f = random_poly(rng)
-        if f.is_zero:
+        if not f:
             continue
         norm = normalize_unit(f)
         assert normalize_unit(norm) == norm
@@ -89,8 +82,8 @@ def test_gcd_divides_both_arguments():
     for _ in range(60):
         f, g = random_poly(rng), random_poly(rng)
         d = poly_gcd(f, g)
-        if d.is_zero:
-            assert f.is_zero and g.is_zero
+        if not d:
+            assert not f and not g
             continue
         exact_div(f, d)
         exact_div(g, d)
@@ -100,13 +93,13 @@ def test_gcd_recovers_common_factor():
     rng = random.Random(4)
     for _ in range(60):
         common = random_poly(rng)
-        if common.is_zero:
+        if not common:
             continue
         f = common * random_poly(rng)
         g = common * random_poly(rng)
         d = poly_gcd(f, g)
-        if d.is_zero:
-            assert f.is_zero and g.is_zero
+        if not d:
+            assert not f and not g
             continue
         # the common factor divides the gcd
         exact_div(d, normalize_unit(common))
@@ -167,14 +160,14 @@ def test_gcd_matches_sympy_when_available():
         mine = poly_gcd(f, g)
 
         def shifted(p):
-            if p.is_zero:
+            if not p:
                 return sympy.Integer(0)
-            lo = p.min_exp
+            lo = p.dense[0]
             return sum(c * x ** (e - lo) for e, c in p.terms())
 
         sf, sg = shifted(f), shifted(g)
         if sf == 0 and sg == 0:
-            assert mine.is_zero
+            assert not mine
             continue
         ref = sympy.gcd(sympy.Poly(sf, x), sympy.Poly(sg, x))
         coeffs = {e[0]: int(c) for e, c in sympy.Poly(ref, x).terms()}
@@ -225,7 +218,7 @@ def stored(f):
     low, cs = f.dense
     assert type(low) is int and type(cs) is tuple and all(type(c) is int for c in cs)
     assert (cs[0] and cs[-1]) if cs else low == 0
-    return f.coeffs
+    return dict(f.terms())
 
 
 @settings(deadline=None)
@@ -258,12 +251,12 @@ def test_from_dense_stores_what_the_mapping_constructor_does(d, low, before, aft
 @settings(deadline=None)
 @given(polys, polys, st.integers(-4, 4))
 def test_ring_operations_match_dict_reference(f, g, k):
-    a, b = f.coeffs, g.coeffs
+    a, b = dict(f.terms()), dict(g.terms())
     assert stored(f + g) == ref_shifted_sum([(1, 0, a), (1, 0, b)])
     assert stored(f - g) == ref_shifted_sum([(1, 0, a), (-1, 0, b)])
     assert stored(-f) == ref_shifted_sum([(-1, 0, a)])
     assert stored(f * g) == ref_mul(a, b)
-    assert stored(f.shifted(k)) == ref_shifted_sum([(1, k, a)])
+    assert stored(f * LaurentPoly.t(k)) == ref_shifted_sum([(1, k, a)])
     assert f - f == LaurentPoly.zero() and f + (-f) == LaurentPoly.zero()
     round_trip = (f + g) - g
     assert round_trip == f
@@ -277,7 +270,7 @@ def ref_det(grid):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         prod = {0: 1}
         for i, j in enumerate(perm):
-            prod = ref_mul(prod, grid[i][j].coeffs)
+            prod = ref_mul(prod, dict(grid[i][j].terms()))
         total = ref_shifted_sum([(1, 0, total), (-1 if inversions % 2 else 1, 0, prod)])
     return total
 

@@ -167,7 +167,7 @@ def test_matrix_rows_sum_to_zero():
             total = LaurentPoly.zero()
             for entry in row:
                 total = total + entry
-            assert total.is_zero
+            assert not total
 
 
 def _fox_rows(p):
@@ -380,14 +380,15 @@ def test_burau_rejects_links():
         burau_alexander(parse_braid("1^2", 2))
 
 
+def _identity_grid(size):
+    return [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(size)] for i in range(size)]
+
+
 def _reduced_burau_letter(letter, n):
     size = n - 1
     k = abs(letter) - 1
     t = LaurentPoly.t()
-    grid = [
-        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(size)]
-        for i in range(size)
-    ]
+    grid = _identity_grid(size)
     if letter > 0:
         grid[k][k] = LaurentPoly.term(-1, 1)
         if k > 0:
@@ -405,10 +406,12 @@ def _reduced_burau_letter(letter, n):
 
 def _dense_burau_alexander(a):
     n = a.strands
-    burau = LaurentMatrix.identity(n - 1)
+    identity = _identity_grid(n - 1)
+    burau = LaurentMatrix.from_rows(identity, cols=n - 1)
     for letter in a.letters:
         burau = burau @ _reduced_burau_letter(letter, n)
-    char = laurent_det(LaurentMatrix.identity(n - 1) - burau)
+    difference = [[x - y for x, y in zip(*rows)] for rows in zip(identity, burau.entries)]
+    char = laurent_det(LaurentMatrix.from_rows(difference, cols=n - 1))
     numerator = char * (LaurentPoly.one() - LaurentPoly.t())
     return normalize_unit(exact_div(numerator, LaurentPoly.one() - LaurentPoly.t(n)))
 
