@@ -9,9 +9,10 @@ so they are imported from there and not exported here.
 
 All values are immutable and all operations are pure functions, so the
 whole API is safe to call concurrently.  The record types, ``LaurentPoly``
-among them, are NamedTuples or ``__slots__`` classes on ``_frozen.Frozen``,
-which refuses assignment.  None is a dataclass, so importing the package
-loads no more of the standard library than a report runs.
+and those of ``kreps.oracles`` among them, are NamedTuples or ``__slots__``
+classes on ``_frozen.Frozen``, which refuses assignment.  None is a
+dataclass, so importing the package loads no more of the standard library
+than a report runs.
 """
 
 from .braids import (

@@ -42,7 +42,7 @@ from .colorings import (
     is_p_colorable,
     surface_coloring_census,
 )
-from .intlinalg import EnumerationCapExceeded, determinantal_divisor
+from .intlinalg import EnumerationCapExceeded, _enum_cap, determinantal_divisor
 from .laurent import poly_str
 from .metabelian import (
     RepClass,
@@ -300,67 +300,51 @@ def _print_table(report: dict[str, Any], stream) -> None:
             line(key, report[key])
 
 
-def _ints_text(values: Sequence[int], pad: str) -> str:
-    """A list of ints nested at the indentation ``pad``, written with one
-    join; an item that is not an int raises TypeError."""
-    if not values:
-        return "[]"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    return f"[\n{inner}{sep.join(map(int.__repr__, values))}\n{pad}]"
-
-
 @lru_cache(maxsize=64)
-def _class_template(length: int, pad: str) -> str:
-    """The text of a ``RepClass`` whose coloring and angles have ``length``
-    entries, nested at the indentation ``pad``, with one ``%d`` for each
-    angle, then each color, then the modulus."""
+def _record_template(kind: type, lengths: tuple[int, ...], pad: str) -> str:
+    """The text of one record of ``kind`` nested at the indentation ``pad``,
+    its keys sorted, with one ``%d`` for each int it writes: a ``RepClass``
+    with ``lengths`` the lengths of its angles and its coloring, or a
+    ``ProfileRow``, whose lengths are ``()``."""
     inner = pad + "  "
-    ints = f"[\n{inner}  " + f",\n{inner}  ".join(["%d"] * length) + f"\n{inner}]" if length else "[]"
-    return f'{{\n{inner}"angles": {ints},\n{inner}"coloring": {ints},\n{inner}"modulus": %d\n{pad}}}'
+    lists = [f"[\n{inner}  " + f",\n{inner}  ".join(["%d"] * n) + f"\n{inner}]" if n else "[]" for n in lengths]
+    if kind is RepClass:
+        fields = {"angles": lists[0], "coloring": lists[1], "modulus": "%d"}
+    else:
+        fields = dict.fromkeys(("condition_o", "r", "total"), "%d")
+    body = (",\n" + inner).join([f'"{key}": {text}' for key, text in fields.items()])
+    return f"{{\n{inner}{body}\n{pad}}}"
 
 
-def _classes_text(classes: Sequence[RepClass], pad: str) -> str | None:
-    """The items of a list of classes, each nested at the indentation
-    ``pad`` and joined as ``_json_text`` joins list items; or None, for the
-    per-record path, unless every coloring and every angle tuple has one
-    length and every entry is an int.
+def _records_text(records: Sequence[Any], pad: str) -> str:
+    """Records of one type, ``RepClass`` or ``ProfileRow``, each nested at
+    the indentation ``pad`` and joined as ``_json_text`` joins list items.
 
-    The columns (the angles, the colorings, the moduli) are flattened into
-    one tuple of ints in the order they are written, checked by one
-    ``map(type, ...)``, and written by one ``%`` of the class template
-    repeated once per class, so no int goes through a Python-level call."""
-    moduli, colorings, angles = zip(*classes)
-    lengths = set(map(len, colorings + angles))
-    if len(lengths) != 1:
-        return None
-    ints = tuple(chain.from_iterable(chain.from_iterable(zip(angles, colorings, zip(moduli)))))
-    if not {int}.issuperset(map(type, ints)):
-        return None
-    template = _class_template(lengths.pop(), pad)
-    return (template + (",\n" + pad + template) * (len(classes) - 1)) % ints
-
-
-@lru_cache(maxsize=16)
-def _rows_template(rs: tuple[int, ...], pad: str) -> str:
-    """The text of profile rows with the moduli rs at the indentation
-    ``pad``, with one ``%d`` for each condition_o and total in turn."""
-    inner = pad + "  "
-    row = f'{{{{\n{inner}"condition_o": %d,\n{inner}"r": {{}},\n{inner}"total": %d\n{pad}}}}}'
-    return (",\n" + pad).join(map(row.format, rs))
-
-
-def _rows_text(rows: Sequence[ProfileRow], pad: str) -> str | None:
-    """The items of a list of profile rows, as ``_classes_text`` writes
-    classes: one ``%`` of the template for their moduli, cached, over the
-    counts and totals, or None, for the per-record path, unless every r and
-    count is an int."""
-    rs, counts = zip(*rows)
-    if not {int}.issuperset(map(type, rs + counts)):
-        return None
-    ints = [0] * (2 * len(rs))
-    ints[::2], ints[1::2] = counts, map(mul, rs, counts)
-    return _rows_template(rs, pad) % tuple(ints)
+    Their ints are flattened into one tuple in the order they are written,
+    checked by one ``map(type, ...)`` (an entry that is not an int raises
+    TypeError, and a bool is written as 1 or 0) and written by one ``%`` of
+    the record template repeated once per record.  A list of classes whose
+    angles and colorings do not all have one length is joined from one call
+    per class."""
+    kind = type(records[0])
+    if kind is RepClass:
+        moduli, colorings, angles = zip(*records)
+        if len(records) > 1 and len(set(map(len, colorings + angles))) > 1:
+            return (",\n" + pad).join([_records_text((record,), pad) for record in records])
+        lengths = len(angles[0]), len(colorings[0])
+        ints = tuple(chain.from_iterable(chain.from_iterable(zip(angles, colorings, zip(moduli)))))
+    else:
+        lengths = ()
+        rs, counts = zip(*records)
+        ints = rs + counts
+    if not {int, bool}.issuperset(map(type, ints)):
+        raise TypeError(f"a report cannot hold a {kind.__name__} with an entry that is not an int")
+    if kind is ProfileRow:
+        # a row's total, r times its count, is taken once both are known to be ints
+        ints = [0] * (3 * len(rs))
+        ints[::3], ints[1::3], ints[2::3] = counts, rs, map(mul, rs, counts)
+    template = _record_template(kind, lengths, pad)
+    return (template + (",\n" + pad + template) * (len(records) - 1)) % tuple(ints)
 
 
 def _json_text(value: Any, pad: str = "") -> str:
@@ -371,27 +355,15 @@ def _json_text(value: Any, pad: str = "") -> str:
     ``ProfileRow``, written as the dicts of their fields (and a profile
     row's ``total``); any other type raises TypeError.
 
-    A record is written by one template over its sorted keys, a list of
-    plain ints by one join, and a list of two or more classes of one
-    length or profile rows by one template for the whole list
-    (``_classes_text``, ``_rows_text``).
+    Every record goes through ``_records_text``: a bare record as a tuple
+    of one, and a list of records of one type as a whole.
     """
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is RepClass or kind is ProfileRow:
+        return _records_text((value,), pad)
     inner = pad + "  "
-    if kind is RepClass:
-        return (
-            f'{{\n{inner}"angles": {_ints_text(value.angles, inner)},'
-            f'\n{inner}"coloring": {_ints_text(value.coloring, inner)},'
-            f'\n{inner}"modulus": {int.__repr__(value.modulus)}\n{pad}}}'
-        )
-    if kind is ProfileRow:
-        return (
-            f'{{\n{inner}"condition_o": {int.__repr__(value.condition_o)},'
-            f'\n{inner}"r": {int.__repr__(value.r)},'
-            f'\n{inner}"total": {int.__repr__(value.total)}\n{pad}}}'
-        )
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -404,15 +376,9 @@ def _json_text(value: Any, pad: str = "") -> str:
         if not value:
             return "[]"
         kinds = set(map(type, value))
-        if kinds == {int}:
-            return _ints_text(value, pad)
-        body = None
-        # one record is written as fast by its own template
-        if kinds == {RepClass} and len(value) > 1:
-            body = _classes_text(value, inner)
-        elif kinds == {ProfileRow} and len(value) > 1:
-            body = _rows_text(value, inner)
-        if body is None:
+        if kinds == {RepClass} or kinds == {ProfileRow}:
+            body = _records_text(value, inner)
+        else:
             body = (",\n" + inner).join([_json_text(item, inner) for item in value])
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(value, str):
@@ -547,6 +513,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args is None:
             print(_USAGE)
             return EXIT_OK
+        _enum_cap()  # so that every command refuses a malformed KREPS_ENUM_CAP
         if getattr(args, "rmax", None) is not None and args.rmax > MAX_RMAX:
             raise ValueError(f"--rmax {args.rmax} exceeds {MAX_RMAX}")
         if args.command == "knot":

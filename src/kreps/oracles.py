@@ -65,14 +65,12 @@ Conventions:
   the same row, 2*over - in - out.
 """
 
-from __future__ import annotations
-
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, prod
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .braids import (
     BraidWord,
     braids_commute,
@@ -111,23 +109,22 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Frozen):
     """A freely reduced word in free-group generators 1..rank.
 
     The constructor reduces its input, so every instance is reduced.
     """
 
-    rank: int
-    letters: tuple[int, ...]
+    __slots__ = ("rank", "letters")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, rank: int, letters: Iterable[int]) -> None:
+        if rank < 1:
             raise ValueError("free group rank must be at least 1")
-        reduced = free_reduce(int(x) for x in self.letters)
+        reduced = free_reduce(int(x) for x in letters)
         for letter in reduced:
-            if letter == 0 or abs(letter) > self.rank:
-                raise ValueError(f"generator {letter} out of range for rank {self.rank}")
+            if letter == 0 or abs(letter) > rank:
+                raise ValueError(f"generator {letter} out of range for rank {rank}")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", reduced)
 
     @classmethod
@@ -210,25 +207,25 @@ def free_words_commute(a: BraidWord, b: BraidWord) -> bool:
 # -- free-word presentations and Fox calculus ---------------------------------
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """A finite presentation whose abelianization is infinite cyclic, every
     generator a meridian sent to t."""
 
-    generators: int
-    relators: tuple[FreeWord, ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self) -> None:
-        if self.generators < 1:
+    def __init__(self, generators: int, relators: tuple[FreeWord, ...]) -> None:
+        if generators < 1:
             raise ValueError("a presentation needs at least one generator")
-        for rel in self.relators:
-            if rel.rank != self.generators:
+        for rel in relators:
+            if rel.rank != generators:
                 raise ValueError("relator rank does not match the generator count")
             if rel.exponent_sum() != 0:
                 raise ValueError(
                     "relator has nonzero exponent sum; "
                     "it cannot hold in a group with infinite cyclic abelianization"
                 )
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
 
 
 def closure_presentation(a: BraidWord) -> Presentation:
@@ -293,8 +290,7 @@ def fox_matrix(p: Presentation) -> LaurentMatrix:
 # -- the closure diagram --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing: the over arc, the incoming and outgoing under arcs,
     and the sign of the crossing."""
 
@@ -304,8 +300,7 @@ class Crossing:
     sign: int
 
 
-@dataclass(frozen=True)
-class ClosureDiagram:
+class ClosureDiagram(NamedTuple):
     arc_count: int
     crossings: tuple[Crossing, ...]
 

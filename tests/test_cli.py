@@ -385,11 +385,13 @@ def test_unfactored_determinants_exit_1(capsys, monkeypatch):
 
 
 def test_a_malformed_enumeration_cap_is_refused(capsys, monkeypatch):
-    # a negative value, which int() accepted, is refused like one it did not
-    for value in ("-1", "abc"):
+    # a negative value, which int() accepted, is refused like one it did
+    # not, and so is any value on a knot of determinant 1, which enumerates
+    # nothing
+    for value, word, strands in (("-1", "1^3", "2"), ("abc", "1^3", "2"), ("abc", "1 2", "3")):
         monkeypatch.setenv("KREPS_ENUM_CAP", value)
-        code, out, err = run(capsys, "knot", "1^3", "-n", "2", "--json")
-        assert (code, out) == (EXIT_USAGE, "")
+        code, out, err = run(capsys, "knot", word, "-n", strands, "--json")
+        assert (code, out) == (EXIT_USAGE, ""), word
         assert err == f"error: KREPS_ENUM_CAP must be a non-negative decimal integer, not {value!r}\n"
 
 
@@ -1009,7 +1011,9 @@ def test_import_loads_what_reports_run_and_nothing_else():
     """``import kreps.cli`` loads no stdlib machinery that no report runs,
     and every module a report runs is loaded by it: a knot report in both
     forms, a surface report, a family report and a refused word then
-    import nothing.  ``-S`` keeps site's own imports out of the check."""
+    import nothing.  ``import kreps.oracles`` loads neither ``dataclasses``
+    nor ``__future__``.  ``-S`` keeps site's own imports out of the
+    check."""
     import kreps
 
     src = str(Path(kreps.__file__).parents[1])
@@ -1029,6 +1033,9 @@ def test_import_loads_what_reports_run_and_nothing_else():
         "    codes = [(argv, kreps.cli.main(argv)) for argv, _ in runs]\n"
         "assert codes == [(argv, code) for argv, code in runs], codes\n"
         "assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)\n"
+        "import kreps.oracles\n"
+        "unused = {'dataclasses', '__future__'} & set(sys.modules)\n"
+        "assert not unused, unused\n"
     )
     subprocess.run([sys.executable, "-S", "-c", script], check=True, timeout=60)
 
@@ -1197,7 +1204,8 @@ json_record_trees = st.recursive(
 
 
 # lists of classes whose colorings and angles all have one length, and
-# lists of profile rows, which _json_text writes by one template per list
+# lists of profile rows, which _json_text writes by one % of one record
+# template repeated once per record
 class_lists = st.integers(0, 5).flatmap(
     lambda n: st.lists(
         st.builds(
@@ -1255,12 +1263,11 @@ def test_json_text_writes_class_and_row_lists_as_their_dicts(tree):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(class_lists, row_lists), st.sampled_from(["", "  ", "      "]))
 def test_json_text_writes_a_record_list_as_its_records(records, pad):
-    inner = pad + "  "
-    items = (",\n" + inner).join([_json_text(record, inner) for record in records])
-    assert _json_text(records, pad) == f"[\n{inner}{items}\n{pad}]"
+    expected = json.dumps(as_plain(records), indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    assert _json_text(records, pad) == expected
 
 
-def test_json_text_writes_records_with_bools_as_the_record_path_does():
+def test_json_text_writes_bools_in_records_as_ints():
     classes = [RepClass(3, (True, 0), (4, False)), RepClass(3, (1, 0), (4, 0))]
     assert _json_text(classes) == _json_text([RepClass(3, (1, 0), (4, 0))] * 2)
     assert _json_text([ProfileRow(3, True)] * 2) == _json_text([ProfileRow(3, 1)] * 2)

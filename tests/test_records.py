@@ -1,6 +1,7 @@
-"""Value semantics of the immutable record types a report builds: equal
-fields give equal, equally hashed values with a fixed repr, fields cannot
-be assigned or deleted, and the constructors keep their checks."""
+"""Value semantics of the immutable record types that reports and the
+oracles build: equal fields give equal, equally hashed values with a fixed
+repr, fields cannot be assigned or deleted, and the constructors keep
+their checks."""
 
 import copy
 import pickle
@@ -12,6 +13,7 @@ from kreps.colorings import ColoringCensus
 from kreps.intlinalg import IntMatrix, SNFResult, smith_normal_form
 from kreps.laurent import LaurentMatrix, LaurentPoly
 from kreps.metabelian import BinaryDihedralElt
+from kreps.oracles import ClosureDiagram, Crossing, FreeWord, Presentation
 
 ONE, T_INV = LaurentPoly.one(), LaurentPoly.t(-1)
 
@@ -58,6 +60,34 @@ RECORDS = {
         BinaryDihedralElt(6, "D", 1),
         (6, "R", 1),
         "BinaryDihedralElt(modulus=6, kind='R', angle=1)",
+    ),
+    "FreeWord": (
+        FreeWord(2, (1, -2)),
+        FreeWord(2, [1, 2, -2, -2]),
+        FreeWord(2, (1, 2)),
+        (2, (1, -2)),
+        "FreeWord(rank=2, letters=(1, -2))",
+    ),
+    "Presentation": (
+        Presentation(2, (FreeWord(2, (1, 2, -1, -2)),)),
+        Presentation(2, (FreeWord(2, (1, 2, 2, -2, -1, -2)),)),
+        Presentation(2, ()),
+        (2, (FreeWord(2, (1, 2, -1, -2)),)),
+        "Presentation(generators=2, relators=(FreeWord(rank=2, letters=(1, 2, -1, -2)),))",
+    ),
+    "Crossing": (
+        Crossing(1, 2, 3, 1),
+        Crossing(over=1, under_in=2, under_out=3, sign=1),
+        Crossing(1, 2, 3, -1),
+        (1, 2, 3, 1),
+        "Crossing(over=1, under_in=2, under_out=3, sign=1)",
+    ),
+    "ClosureDiagram": (
+        ClosureDiagram(2, (Crossing(1, 1, 2, 1),)),
+        ClosureDiagram(arc_count=2, crossings=(Crossing(over=1, under_in=1, under_out=2, sign=1),)),
+        ClosureDiagram(2, ()),
+        (2, ((1, 1, 2, 1),)),
+        "ClosureDiagram(arc_count=2, crossings=(Crossing(over=1, under_in=1, under_out=2, sign=1),))",
     ),
 }
 
