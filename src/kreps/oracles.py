@@ -34,10 +34,19 @@ routes here reach the same numbers another way:
 
 ``braid_mismatch``, ``long_word_mismatch``, ``matrix_mismatch``,
 ``class_mismatch`` and ``pair_mismatch`` each run every check on one
-input and return a description of the first failure, or None.
-``verify_report`` runs them over a seeded sweep of random knot braids
-(``random_knot_braid``) and matrices; the acceptance tests
-call them on their own seeds.
+input and return a description of the first failure, or None.  Two of
+the checks are written once and shared.  ``_alexander_mismatch`` compares
+the knot minor and the reduced Burau route with the all-minors gcd, and
+the determinant with |gcd(-1)|: it is all of ``long_word_mismatch``, and
+``braid_mismatch`` runs it with the base-column gcd as one more route.
+``_fox_mismatch`` compares the Alexander matrix with the Fox matrix, and
+the coloring form's determinant with the divisor of the whole matrix at
+t = -1: ``braid_mismatch`` and ``pair_mismatch`` both run it.
+``verify_report`` runs its five sweeps (random knot braids, the long
+words, random integer matrices, twisted pairs and odd-determinant forms)
+through one loop that stops at the first failure, each input drawn from
+one seeded stream only when the loop reaches it; the acceptance tests
+call the checks on their own seeds.
 
 Conventions:
 
@@ -68,7 +77,7 @@ Conventions:
 import random
 from itertools import combinations, product
 from math import gcd, prod
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from ._frozen import Frozen
 from .braids import (
@@ -95,17 +104,13 @@ from .presentations import alexander_matrix, alexander_poly, burau_alexander, co
 # -- the free group and the braid action on it ----------------------------------
 
 
-def _reduce_into(out: list[int], letters: Iterable[int]) -> None:
+def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
+    out: list[int] = []
     for x in letters:
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
-
-
-def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    _reduce_into(out, letters)
     return tuple(out)
 
 
@@ -150,20 +155,12 @@ class FreeWord(Frozen):
 def _letter_image(braid_letter: int, free_letter: int) -> tuple[int, ...]:
     i = abs(braid_letter)
     g = abs(free_letter)
-    if braid_letter > 0:
-        if g == i:
-            img: tuple[int, ...] = (i, i + 1, -i)
-        elif g == i + 1:
-            img = (i,)
-        else:
-            img = (g,)
+    if g != i and g != i + 1:
+        img: tuple[int, ...] = (g,)
+    elif braid_letter > 0:
+        img = (i, i + 1, -i) if g == i else (i,)
     else:
-        if g == i:
-            img = (i + 1,)
-        elif g == i + 1:
-            img = (-(i + 1), i, i + 1)
-        else:
-            img = (g,)
+        img = (i + 1,) if g == i else (-(i + 1), i, i + 1)
     if free_letter < 0:
         img = tuple(-x for x in reversed(img))
     return img
@@ -177,13 +174,10 @@ def artin_act(a: BraidWord, w: FreeWord) -> FreeWord:
     """
     if w.rank != a.strands:
         raise ValueError("free word rank must equal the braid's strand count")
-    letters = list(w.letters)
+    letters = w.letters
     for braid_letter in reversed(a.letters):
-        out: list[int] = []
-        for free_letter in letters:
-            _reduce_into(out, _letter_image(braid_letter, free_letter))
-        letters = out
-    return FreeWord(a.strands, tuple(letters))
+        letters = free_reduce(x for free_letter in letters for x in _letter_image(braid_letter, free_letter))
+    return FreeWord(a.strands, letters)
 
 
 def free_words_commute(a: BraidWord, b: BraidWord) -> bool:
@@ -321,15 +315,13 @@ def closure_diagram(a: BraidWord) -> ClosureDiagram:
     raw: list[tuple[int, int, int, int]] = []
     for letter in a.letters:
         i = abs(letter) - 1
+        fresh = next_label
+        next_label += 1
         if letter > 0:
             over, under = labels[i], labels[i + 1]
-            fresh = next_label
-            next_label += 1
             labels[i], labels[i + 1] = fresh, over
         else:
             over, under = labels[i + 1], labels[i]
-            fresh = next_label
-            next_label += 1
             labels[i], labels[i + 1] = over, fresh
         raw.append((over, under, fresh, 1 if letter > 0 else -1))
 
@@ -341,13 +333,8 @@ def closure_diagram(a: BraidWord) -> ClosureDiagram:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
     for slot in range(n):
-        union(slot, labels[slot])
+        parent[find(labels[slot])] = find(slot)
 
     roots = sorted({find(x) for x in range(next_label)})
     arc_of = {root: idx + 1 for idx, root in enumerate(roots)}
@@ -534,6 +521,13 @@ def laurent_det(m: LaurentMatrix) -> LaurentPoly:
     return states.get((1 << n) - 1, LaurentPoly.zero())
 
 
+def _minors(m: IntMatrix | LaurentMatrix, size: int) -> Iterator[list[list[Any]]]:
+    """The size x size submatrices of m, each as its list of rows."""
+    for rsel in combinations(range(m.rows), size):
+        for csel in combinations(range(m.cols), size):
+            yield [[m.entries[i][j] for j in csel] for i in rsel]
+
+
 def laurent_minor_gcd(m: LaurentMatrix, size: int) -> LaurentPoly:
     """Normalized gcd of all size x size minors; 0 if all vanish, 1 for size 0.
 
@@ -545,12 +539,9 @@ def laurent_minor_gcd(m: LaurentMatrix, size: int) -> LaurentPoly:
         return LaurentPoly.zero()
     one = LaurentPoly.one()
     g = LaurentPoly.zero()
-    for rsel in combinations(range(m.rows), size):
-        for csel in combinations(range(m.cols), size):
-            minor = [[m.entries[i][j] for j in csel] for i in rsel]
-            d = laurent_det(LaurentMatrix.from_rows(minor, cols=size))
-            if not d:
-                continue
+    for minor in _minors(m, size):
+        d = laurent_det(LaurentMatrix.from_rows(minor, cols=size))
+        if d:
             g = poly_gcd(g, d)
             if g == one:
                 return g
@@ -568,25 +559,11 @@ def minor_gcd(a: IntMatrix, k: int) -> int:
     if k == 0:
         return 1
     g = 0
-    for rsel in combinations(range(a.rows), k):
-        for csel in combinations(range(a.cols), k):
-            sub = IntMatrix.from_rows(
-                [[a.entries[i][j] for j in csel] for i in rsel], cols=k
-            )
-            g = gcd(g, int_det(sub))
-            if g == 1:
-                return 1
+    for minor in _minors(a, k):
+        g = gcd(g, int_det(IntMatrix.from_rows(minor, cols=k)))
+        if g == 1:
+            return 1
     return g
-
-
-def _evaluate_relator(
-    relator: FreeWord, assignment: Sequence[BinaryDihedralElt], m: int
-) -> BinaryDihedralElt:
-    acc = BinaryDihedralElt.identity(m)
-    for letter in relator.letters:
-        img = assignment[abs(letter) - 1]
-        acc = bd_mul(acc, img if letter > 0 else bd_inv(img))
-    return acc
 
 
 def verify_representation(
@@ -599,7 +576,14 @@ def verify_representation(
     if len(moduli) > 1:
         raise ValueError("mixed moduli in the assignment")
     m = (moduli.pop() if moduli else 6) // 2
-    return all(_evaluate_relator(rel, assignment, m).is_identity for rel in p.relators)
+    for rel in p.relators:
+        acc = BinaryDihedralElt.identity(m)
+        for letter in rel.letters:
+            img = assignment[abs(letter) - 1]
+            acc = bd_mul(acc, img if letter > 0 else bd_inv(img))
+        if not acc.is_identity:
+            return False
+    return True
 
 
 def is_irreducible(assignment: Sequence[BinaryDihedralElt]) -> bool:
@@ -679,28 +663,53 @@ def _census_text(census: ColoringCensus) -> str:
     return text + " nondegenerate" if census.nondegenerate else text
 
 
-def braid_mismatch(a: BraidWord) -> str | None:
-    """Every cross-check on the knot closure of a; returns a description
-    of the first failure, or None."""
-    matrix = alexander_matrix(a)
-    presentation = closure_presentation(a)
+def _fox_mismatch(
+    matrix: LaurentMatrix, full: SNFResult, presentation: Presentation, form: SNFResult
+) -> str | None:
+    """The Alexander matrix against the Fox matrix of the free-word
+    presentation, less its zero rows, then the determinant of the coloring
+    form against the divisor of ``full``, the whole matrix at t = -1;
+    returns a description of the first failure, or None."""
     fox = fox_matrix(presentation)
     if matrix != LaurentMatrix.from_rows([row for row in fox.entries if any(row)], cols=fox.cols):
         return "burau-built matrix != fox matrix of the free-word presentation"
-    form = coloring_form(a)
-    poly = knot_poly(a)
     det = determinantal_divisor(form, form.cols)
-    routes = {
-        "base-column gcd": alexander_poly(matrix),
-        "all-minors gcd": laurent_minor_gcd(matrix, matrix.cols - 1),
-        "reduced burau": burau_alexander(a),
-    }
-    for route, other in routes.items():
-        if other != poly:
-            return f"knot minor {poly_str(poly)} != {route} {poly_str(other)}"
-    if det != abs(poly.evaluate(-1)):
-        return f"determinant {det} != |poly(-1)|"
-    mismatch = class_mismatch(form)
+    if det != determinantal_divisor(full, matrix.cols - 1):
+        return f"form determinant {det} != divisor of the full matrix"
+    return None
+
+
+def _alexander_mismatch(
+    a: BraidWord, matrix: LaurentMatrix, form: SNFResult, *routes: tuple[str, LaurentPoly]
+) -> str | None:
+    """The knot minor, the reduced Burau route and the further ``routes``
+    of the knot closure of a against the all-minors gcd of its Alexander
+    matrix, then the determinant of its coloring form against |gcd(-1)|;
+    returns a description of the first failure, or None."""
+    expected = laurent_minor_gcd(matrix, matrix.cols - 1)
+    for route, poly in (("knot minor", knot_poly(a)), ("reduced burau", burau_alexander(a)), *routes):
+        if poly != expected:
+            return f"{route} {poly_str(poly)} != all-minors gcd {poly_str(expected)}"
+    det = determinantal_divisor(form, form.cols)
+    if det != abs(expected.evaluate(-1)):
+        return f"determinant {det} != |all-minors gcd(-1)|"
+    return None
+
+
+def braid_mismatch(a: BraidWord) -> str | None:
+    """Every cross-check on the knot closure of a: the two shared with the
+    other sweeps, the base-column gcd, the classes, the diagram's divisors
+    and the coloring censuses; returns a description of the first failure,
+    or None."""
+    matrix = alexander_matrix(a)
+    full = _snf_at_minus_one(matrix)
+    presentation = closure_presentation(a)
+    form = coloring_form(a)
+    mismatch = (
+        _fox_mismatch(matrix, full, presentation, form)
+        or _alexander_mismatch(a, matrix, form, ("base-column gcd", alexander_poly(matrix)))
+        or class_mismatch(form)
+    )
     if mismatch is not None:
         return mismatch
     for rc in enumerate_rep_classes(form):
@@ -708,9 +717,6 @@ def braid_mismatch(a: BraidWord) -> str | None:
             return f"class of coloring {rc.coloring} fails a free-word relator"
         if not is_irreducible(rc.assignment):
             return f"class of coloring {rc.coloring} is reducible"
-    full = _snf_at_minus_one(matrix)
-    if det != determinantal_divisor(full, matrix.cols - 1):
-        return f"form determinant {det} != divisor of the full matrix"
     diagram = closure_diagram(a)
     cmatrix = coloring_matrix(diagram)
     c_snf = _snf_at_minus_one(cmatrix)
@@ -723,11 +729,7 @@ def braid_mismatch(a: BraidWord) -> str | None:
         algebraic = coloring_census(form, r)
         transported = surface_coloring_census(a, BraidWord.identity(a.strands), r)
         brute = diagram_census_brute(diagram, r)
-        if not (
-            algebraic.total == transported.total == brute.total
-            and algebraic.condition_o == transported.condition_o == brute.condition_o
-            and algebraic.nondegenerate == transported.nondegenerate == brute.nondegenerate
-        ):
+        if not algebraic == transported == brute:
             return (
                 f"census mismatch at r={r}: matrix {_census_text(algebraic)}, "
                 f"transport {_census_text(transported)}, diagram {_census_text(brute)}"
@@ -741,37 +743,25 @@ LONG_WORDS = (("1^101", 2), (" ".join(["1 -2"] * 61), 3), ("1^61 2 3 4 5", 6))
 
 
 def long_word_mismatch(a: BraidWord) -> str | None:
-    """The packed routes against the all-minors gcd; returns a description
-    of the first failure, or None."""
-    matrix = alexander_matrix(a)
-    expected = laurent_minor_gcd(matrix, matrix.cols - 1)
-    for route, poly in (("knot minor", knot_poly(a)), ("reduced burau", burau_alexander(a))):
-        if poly != expected:
-            return f"{route} {poly_str(poly)} != all-minors gcd {poly_str(expected)}"
-    form = coloring_form(a)
-    det = determinantal_divisor(form, form.cols)
-    if det != abs(expected.evaluate(-1)):
-        return f"determinant {det} != |all-minors gcd(-1)|"
-    return None
+    """The packed routes against the all-minors gcd, the check that
+    ``braid_mismatch`` shares; returns a description of the first failure,
+    or None."""
+    return _alexander_mismatch(a, alexander_matrix(a), coloring_form(a))
 
 
 def minimize_braid(a: BraidWord) -> BraidWord:
-    """Greedily drop letters while ``braid_mismatch`` still finds one."""
-    current = a
-    improved = True
-    while improved and len(current.letters) > 1:
-        improved = False
-        for i in range(len(current.letters)):
-            candidate = BraidWord(
-                current.strands, current.letters[:i] + current.letters[i + 1 :]
-            )
-            if closure_component_count(candidate) != 1 or not candidate.letters:
-                continue
-            if braid_mismatch(candidate) is not None:
-                current = candidate
-                improved = True
+    """Greedily drop two letters at a time while the rest is a knot on
+    which ``braid_mismatch`` still finds one.  Dropping one letter would
+    change the parity of the braid's permutation, which is fixed for an
+    n-cycle, so it never leaves a knot."""
+    while True:
+        for i, j in combinations(range(len(a.letters)), 2):
+            candidate = BraidWord(a.strands, a.letters[:i] + a.letters[i + 1 : j] + a.letters[j + 1 :])
+            if closure_component_count(candidate) == 1 and braid_mismatch(candidate) is not None:
+                a = candidate
                 break
-    return current
+        else:
+            return a
 
 
 def random_knot_braid(rng: random.Random, max_strands: int, max_len: int) -> BraidWord:
@@ -874,20 +864,20 @@ def matrix_mismatch(a: IntMatrix, moduli: Iterable[int]) -> str | None:
 
 
 def pair_mismatch(a: BraidWord, b: BraidWord) -> str | None:
-    """Every cross-check on the surface knot of the commuting pair (a, b);
-    returns a description of the first failure, or None."""
+    """Every cross-check on the surface knot of the commuting pair (a, b):
+    the commutation routes, the base-column gcd against the all-minors gcd,
+    the check shared with ``braid_mismatch`` and the parity of the
+    determinant; returns a description of the first failure, or None."""
     if braids_commute(a, b) != free_words_commute(a, b):
         return "Dynnikov and free-word commutation checks differ"
     matrix = alexander_matrix(a, b)
-    fox = fox_matrix(torus_covering_presentation(a, b))
-    if matrix != LaurentMatrix.from_rows([row for row in fox.entries if any(row)], cols=fox.cols):
-        return "burau-built and fox matrices differ"
     if alexander_poly(matrix) != laurent_minor_gcd(matrix, matrix.cols - 1):
         return "base-column and all-minors gcds differ"
     form = coloring_form(a, b)
+    mismatch = _fox_mismatch(matrix, _snf_at_minus_one(matrix), torus_covering_presentation(a, b), form)
+    if mismatch is not None:
+        return mismatch
     det = determinantal_divisor(form, form.cols)
-    if det != determinantal_divisor(_snf_at_minus_one(matrix), matrix.cols - 1):
-        return f"form determinant {det} != full divisor"
     if det % 2 == 0:
         return f"even surface determinant {det}"
     return None
@@ -896,62 +886,67 @@ def pair_mismatch(a: BraidWord, b: BraidWord) -> str | None:
 # -- the verify sweep ------------------------------------------------------------------
 
 
+def _minimized_failure(mismatch: str, a: BraidWord) -> str:
+    small = minimize_braid(a)
+    return f"braid {small} on {small.strands} strands: {braid_mismatch(small)}"
+
+
 def verify_report(
     seed: int, trials: int, max_strands: int, max_len: int
 ) -> tuple[dict[str, Any], str | None]:
     """The ``kreps verify`` report and its failure, or None: ``trials``
     random knot braids, then the long words, random integer matrices,
     random braids paired with full-twist powers and the class lists of
-    random odd-determinant matrices, all from one seeded stream.  A
-    failing braid is minimized before it is reported."""
+    random odd-determinant matrices, all from one seeded stream and all
+    through one loop that stops at the first failure.  A failing braid is
+    minimized before it is reported."""
     rng = random.Random(seed)
+
+    def knots(count: int) -> Iterator[BraidWord]:
+        return (random_knot_braid(rng, max_strands, max_len) for _ in range(count))
+
+    # each sweep: the key of its count (the long words have none), its
+    # inputs, drawn only when the loop reaches them, the check of one input
+    # and the failure it reports, from the check's description and the input
+    sweeps = (
+        ("braids_checked", ((a,) for a in knots(trials)), braid_mismatch, _minimized_failure),
+        (
+            None,
+            LONG_WORDS,
+            lambda text, strands: long_word_mismatch(parse_braid(text, strands)),
+            "long braid {1} on {2} strands: {0}".format,
+        ),
+        (
+            "matrices_checked",
+            ((random_int_matrix(rng), (rng.randint(2, 12),)) for _ in range(max(trials * 5, 100))),
+            matrix_mismatch,
+            "matrix {1.entries}: {0}".format,
+        ),
+        (
+            "commuting_pairs_checked",
+            ((a, full_twist(a.strands) ** rng.randint(0, 2)) for a in knots(max(trials // 2, 25))),
+            pair_mismatch,
+            "{0} for a={1}, twist power".format,
+        ),
+        (
+            "class_forms_checked",
+            ((random_odd_det_matrix(rng),) for _ in range(max(trials // 2, 25))),
+            lambda m: class_mismatch(smith_normal_form(m)),
+            "matrix {1.entries}: {0}".format,
+        ),
+    )
+    counts = {key: 0 for key, *_ in sweeps if key}
     failure: str | None = None
-    braids_checked = 0
-    for _ in range(trials):
-        a = random_knot_braid(rng, max_strands, max_len)
-        if braid_mismatch(a) is not None:
-            small = minimize_braid(a)
-            failure = f"braid {small} on {small.strands} strands: {braid_mismatch(small)}"
+    for key, draws, check, describe in sweeps:
+        for args in draws:
+            mismatch = check(*args)
+            if mismatch is not None:
+                failure = describe(mismatch, *args)
+                break
+            if key:
+                counts[key] += 1
+        if failure is not None:
             break
-        braids_checked += 1
-
-    if failure is None:
-        for text, strands in LONG_WORDS:
-            mismatch = long_word_mismatch(parse_braid(text, strands))
-            if mismatch is not None:
-                failure = f"long braid {text} on {strands} strands: {mismatch}"
-                break
-
-    matrices_checked = 0
-    if failure is None:
-        for _ in range(max(trials * 5, 100)):
-            m = random_int_matrix(rng)
-            mismatch = matrix_mismatch(m, (rng.randint(2, 12),))
-            if mismatch is not None:
-                failure = f"matrix {m.entries}: {mismatch}"
-                break
-            matrices_checked += 1
-
-    pairs_checked = 0
-    if failure is None:
-        for _ in range(max(trials // 2, 25)):
-            a = random_knot_braid(rng, max_strands, max_len)
-            b = full_twist(a.strands) ** rng.randint(0, 2)
-            mismatch = pair_mismatch(a, b)
-            if mismatch is not None:
-                failure = f"{mismatch} for a={a}, twist power"
-                break
-            pairs_checked += 1
-
-    forms_checked = 0
-    if failure is None:
-        for _ in range(max(trials // 2, 25)):
-            m = random_odd_det_matrix(rng)
-            mismatch = class_mismatch(smith_normal_form(m))
-            if mismatch is not None:
-                failure = f"matrix {m.entries}: {mismatch}"
-                break
-            forms_checked += 1
 
     report = {
         "input": {
@@ -961,10 +956,7 @@ def verify_report(
             "max_strands": max_strands,
             "max_len": max_len,
         },
-        "braids_checked": braids_checked,
-        "matrices_checked": matrices_checked,
-        "commuting_pairs_checked": pairs_checked,
-        "class_forms_checked": forms_checked,
+        **counts,
         "failure": failure,
         "passed": failure is None,
     }

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreps.braids import closure_component_count, parse_braid
+from kreps.braids import BraidWord, closure_component_count, parse_braid
 from kreps.cli import (
     EXIT_FAMILY_ASSERTION,
     EXIT_NOT_A_KNOT,
@@ -737,12 +739,91 @@ def test_rmax_over_the_bound_is_refused_before_any_work(capsys, monkeypatch):
     assert [row["r"] for row in report["colorings"]] == list(range(2, 13))
 
 
+# sha256 of the stdout of `kreps verify`, recorded before its five sweeps
+# became one loop
+VERIFY_DIGESTS = {
+    ("--seed", "7", "--trials", "6"): "87b34f124379c1707f55e64726590116aef44c9c35b7b428859bed74a00346e2",
+    ("--seed", "7", "--trials", "6", "--json"): "301b73591d766345c6afe3b1c3c5ae67bf4880817ad59cc7cf660ce96ed39f08",
+    ("--seed", "7", "--trials", "6", "--max-strands", "5", "--max-len", "10"): (
+        "1193f1529ca60254e2de2351599dee303ec4e2e8bce8592eee3e3aa62dfc4ee1"
+    ),
+}
+
+
 def test_verify_deterministic(capsys):
     first = run_json(capsys, "verify", "--seed", "7", "--trials", "6", "--json")
     second = run_json(capsys, "verify", "--seed", "7", "--trials", "6", "--json")
     assert first == second
     assert first["passed"]
     assert first["braids_checked"] == 6
+    for argv, digest in VERIFY_DIGESTS.items():
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (EXIT_OK, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# sha256 of the input each check of `kreps verify --seed 7 --trials 6 --json`
+# receives, one line per call, followed by the report: with every check
+# passing, then with the third twisted pair failing; recorded before the
+# five sweeps became one loop
+SWEEP_DIGESTS = (
+    "13ca46dfe221884efefe61ec2935c08a02e8339802f001313300875f74d43d72",
+    "7fda71ff8ce2745c84332ba55420631edddebe1865a038db88d824779c16dc16",
+)
+
+
+def test_verify_draws_its_inputs_in_a_fixed_order(capsys, monkeypatch):
+    import kreps.oracles as oracles
+
+    smith_normal_form = oracles.smith_normal_form
+    digests = []
+    for failing_pair in (None, 3):
+        calls = []
+
+        def record(name, *args):
+            calls.append(f"{name}{args!r}")
+            pairs = sum(call.startswith("pair_mismatch") for call in calls)
+            return "synthetic" if name == "pair_mismatch" and pairs == failing_pair else None
+
+        for name in ("braid_mismatch", "long_word_mismatch", "matrix_mismatch", "pair_mismatch"):
+            monkeypatch.setattr(oracles, name, lambda *args, name=name: record(name, *args))
+        # a form is shown by the matrix it reduces
+        monkeypatch.setattr(oracles, "smith_normal_form", lambda m: record("form", m) or smith_normal_form(m))
+        monkeypatch.setattr(oracles, "class_mismatch", lambda form: None)
+        out = run(capsys, "verify", "--seed", "7", "--trials", "6", "--json")[1]
+        digests.append(hashlib.sha256("\n".join(calls + [out]).encode()).hexdigest())
+    # the braids, the long words, the matrices and the pairs up to the
+    # failing one; no form is drawn after a failure
+    assert len(calls) == 6 + 3 + 100 + 3
+    assert tuple(digests) == SWEEP_DIGESTS
+
+
+def test_verify_reports_a_minimized_braid(capsys, monkeypatch):
+    import kreps.cli as cli
+    import kreps.oracles as oracles
+
+    def mismatch(a):
+        return "synthetic" if {1, -2} <= set(a.letters) else None
+
+    checked = []
+    monkeypatch.setattr(oracles, "braid_mismatch", lambda a: checked.append(a) or mismatch(a))
+    code, out, _ = run(capsys, "verify", "--seed", "0", "--trials", "20", "--json")
+    assert code == cli.EXIT_VERIFY_MISMATCH
+    report = json.loads(out)
+    drawn = next(a for a in checked if mismatch(a))
+    assert report["braids_checked"] == checked.index(drawn)
+    found = re.fullmatch(r"braid (.+) on (\d+) strands: synthetic", report["failure"])
+    small = parse_braid(found[1], int(found[2]))
+    assert mismatch(small) and len(small.letters) < len(drawn.letters)
+    # dropping one letter changes the parity of the permutation, so it
+    # never leaves a knot; no two letters can go with a failing knot left
+    letters = small.letters
+    for i in range(len(letters)):
+        assert closure_component_count(BraidWord(small.strands, letters[:i] + letters[i + 1 :])) != 1
+    for i, j in itertools.combinations(range(len(letters)), 2):
+        shorter = BraidWord(small.strands, letters[:i] + letters[i + 1 : j] + letters[j + 1 :])
+        if closure_component_count(shorter) == 1:
+            assert mismatch(shorter) is None, shorter
 
 
 def test_json_round_trip(capsys):
