@@ -414,7 +414,14 @@ def _parse_signs(text: str | None) -> tuple[int, ...] | None:
 def _parse_perm(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
-    return tuple(int(x) for x in text.replace(",", " ").split())
+    return tuple(_parse_int("--perm", x) for x in text.replace(",", " ").split())
+
+
+def _parse_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"argument {key}: invalid int value: {value!r}") from None
 
 
 _USAGE = """usage: kreps knot BRAID -n N [--rmax R] [--json]
@@ -475,7 +482,8 @@ def _parse_argv(argv: Sequence[str]) -> SimpleNamespace | None:
             value = True if table[key][0] is bool else next(tokens, "--")
             if value == "--":
                 raise ValueError(f"argument {key}: expected one argument")
-        values[key] = table[key][0](value)
+        # a bool's value is already True, a str's already its token
+        values[key] = _parse_int(key, value) if table[key][0] is int else value
     if values.pop("--help"):
         return None
     if missing := [key for key, value in values.items() if value is ...]:

@@ -11,7 +11,7 @@ integers throughout, so nothing ever overflows.
 
 import os
 from math import gcd, prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from ._frozen import Frozen
 
@@ -48,23 +48,6 @@ class IntMatrix(Frozen):
             cols = len(grid[0])
         return cls(len(grid), cols, grid)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        grid = tuple(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-        return IntMatrix(self.rows, other.cols, grid)
-
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [sum(row[j] * vec[j] for j in range(self.cols)) for row in self.entries]
-
 
 def _bareiss(a: list[list[int]]) -> int:
     """The determinant of the square matrix with rows a, by fraction-free
@@ -97,8 +80,8 @@ def int_det(m: IntMatrix) -> int:
 
 class SNFResult(NamedTuple):
     """The Smith normal form of A: the divisors, positive and each dividing
-    the next, and a unimodular Q such that P @ A @ Q = diag(divisors) for
-    some unimodular P, which is not kept.  So column j of A @ Q is
+    the next, and a unimodular Q such that P A Q = diag(divisors) for
+    some unimodular P, which is not kept.  So column j of A Q is
     divisors[j] times column j of P^-1 for j < rank, and zero past the rank."""
 
     divisors: tuple[int, ...]

@@ -642,7 +642,12 @@ def class_mismatch(form: SNFResult) -> str | None:
     """``enumerate_rep_classes`` against ``scan_rep_classes`` on one form
     with a positive odd determinant; returns a description of the first
     failure, or None."""
-    got, expected = enumerate_rep_classes(form), scan_rep_classes(form)
+    return _classes_mismatch(form, enumerate_rep_classes(form))
+
+
+def _classes_mismatch(form: SNFResult, got: list[RepClass]) -> str | None:
+    """``class_mismatch`` with the classes ``got`` already enumerated."""
+    expected = scan_rep_classes(form)
     if got == expected:
         return None
     det = determinantal_divisor(form, form.cols)
@@ -708,11 +713,11 @@ def braid_mismatch(a: BraidWord) -> str | None:
     mismatch = (
         _fox_mismatch(matrix, full, presentation, form)
         or _alexander_mismatch(a, matrix, form, ("base-column gcd", alexander_poly(matrix)))
-        or class_mismatch(form)
+        or _classes_mismatch(form, classes := enumerate_rep_classes(form))
     )
     if mismatch is not None:
         return mismatch
-    for rc in enumerate_rep_classes(form):
+    for rc in classes:
         if not verify_representation(presentation, rc.assignment):
             return f"class of coloring {rc.coloring} fails a free-word relator"
         if not is_irreducible(rc.assignment):
@@ -835,7 +840,7 @@ def matrix_mismatch(a: IntMatrix, moduli: Iterable[int]) -> str | None:
         return "divisors out of range"
     if snf.Q.rows != a.cols or abs(int_det(snf.Q)) != 1:
         return "column transform Q is not unimodular"
-    columns = list(zip(*(a @ snf.Q).entries))
+    columns = [[sum(x * y for x, y in zip(row, q)) for row in a.entries] for q in zip(*snf.Q.entries)]
     if any(any(column) for column in columns[rank:]) or any(
         x % d for column, d in zip(columns, snf.divisors) for x in column
     ):
@@ -853,7 +858,9 @@ def matrix_mismatch(a: IntMatrix, moduli: Iterable[int]) -> str | None:
         if r**a.cols > _BRUTE_CANDIDATES:
             continue
         brute = [
-            x for x in product(range(r), repeat=a.cols) if all(v % r == 0 for v in a.apply(list(x)))
+            x
+            for x in product(range(r), repeat=a.cols)
+            if all(sum(c * v for c, v in zip(row, x)) % r == 0 for row in a.entries)
         ]
         count = solution_count_mod(snf, r)
         if count != len(brute):

@@ -1080,6 +1080,19 @@ def test_help_and_usage_errors(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def test_an_int_value_that_does_not_parse_names_its_option(capsys):
+    for argv, message in (
+        (["knot", "1 2", "-n", "x"], "argument --strands: invalid int value: 'x'"),
+        (["knot", "1 2", "-n", "3", "--rmax", "1e3"], "argument --rmax: invalid int value: '1e3'"),
+        (["surface", "1^3", "-n", "2", "--fulltwist", "y"], "argument --fulltwist: invalid int value: 'y'"),
+        (["verify", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        (["family", "x", "3", "1"], "argument n: invalid int value: 'x'"),
+        (["family", "3", "3", "1", "--perm", "x"], "argument --perm: invalid int value: 'x'"),
+        (["family", "3", "3", "1", "--perm", "2,x"], "argument --perm: invalid int value: 'x'"),
+    ):
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n"), argv
+
+
 def test_kreps_does_not_import_argparse():
     import kreps
 
@@ -1119,6 +1132,26 @@ def test_import_loads_what_reports_run_and_nothing_else():
         "assert not unused, unused\n"
     )
     subprocess.run([sys.executable, "-S", "-c", script], check=True, timeout=60)
+
+
+def test_a_module_import_loads_only_that_module():
+    """The package re-exports nothing, so importing one of the modules
+    that import no other kreps module loads only it, the package and
+    ``kreps._frozen``."""
+    import kreps
+
+    src = str(Path(kreps.__file__).parents[1])
+    for module in ("kreps.braids", "kreps.laurent", "kreps.intlinalg"):
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            f"import {module}\n"
+            "print(' '.join(sorted(name for name in sys.modules if name.split('.')[0] == 'kreps')))\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-S", "-c", script], check=True, capture_output=True, text=True, timeout=60
+        ).stdout.split()
+        assert loaded == sorted(["kreps", "kreps._frozen", module]), loaded
 
 
 # -- hostile and malformed input -------------------------------------------------

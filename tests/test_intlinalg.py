@@ -37,9 +37,15 @@ def snf_of(rows, cols=None):
 def brute_solutions(a, r):
     out = []
     for x in product(range(r), repeat=a.cols):
-        if all(v % r == 0 for v in a.apply(list(x))):
+        if all(sum(c * v for c, v in zip(row, x)) % r == 0 for row in a.entries):
             out.append(x)
     return out
+
+
+def matmul(a, b):
+    return IntMatrix.from_rows(
+        [[sum(x * y for x, y in zip(row, column)) for column in zip(*b.entries)] for row in a.entries], cols=b.cols
+    )
 
 
 def snf_holds(a, snf):
@@ -52,7 +58,7 @@ def snf_holds(a, snf):
         return False
     if any(d <= 0 for d in snf.divisors):
         return False
-    columns = [list(column) for column in zip(*(a @ snf.Q).entries)]
+    columns = [list(column) for column in zip(*matmul(a, snf.Q).entries)]
     if any(x != 0 for column in columns[rank:] for x in column):
         return False
     if any(x % d for column, d in zip(columns, snf.divisors) for x in column):
@@ -254,7 +260,7 @@ def test_enumeration_matches_brute_force_on_non_cyclic_groups():
         diag = IntMatrix.from_rows(
             [[d[i] if i == j else 0 for j in range(len(d))] for i in range(rows)], cols=len(d)
         )
-        a = unimodular(rng, rows) @ diag @ unimodular(rng, len(d))
+        a = matmul(matmul(unimodular(rng, rows), diag), unimodular(rng, len(d)))
         r = rng.choice([2, 3, 4, 6, 9, 10, 12])
         snf = smith_normal_form(a)
         enumerated = enumerate_solutions_mod(snf, r)

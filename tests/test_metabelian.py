@@ -415,3 +415,13 @@ def test_class_mismatch_reports_a_wrong_choice(monkeypatch):
     wrong = [right[0], right[1]._replace(coloring=(4, 0))]
     monkeypatch.setattr(oracles, "enumerate_rep_classes", lambda f: wrong)
     assert class_mismatch(form) == "class 1 mod 5 is (5, (4, 0), (2, 0)), the scan gives (5, (2, 0), (2, 0))"
+
+
+def test_braid_mismatch_enumerates_the_classes_once(monkeypatch):
+    import kreps.oracles as oracles
+
+    calls = []
+    enumerate_classes = oracles.enumerate_rep_classes
+    monkeypatch.setattr(oracles, "enumerate_rep_classes", lambda form: calls.append(form) or enumerate_classes(form))
+    assert oracles.braid_mismatch(parse_braid("1 1 1 1 1", 2)) is None
+    assert len(calls) == 1
